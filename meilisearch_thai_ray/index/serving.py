@@ -200,6 +200,10 @@ class DocPartitionedSearchService:
         ordered = sorted(weights)
         if not ordered:
             return []
+        # client threads may fill _df_cache concurrently, unlocked: the race
+        # is harmless because a global df is a deterministic sum, so racing
+        # writers store the same value, and a racing miss only repeats the
+        # local_dfs fan-out
         missing = [t for t in ordered if t not in self._df_cache]
         if missing:
             partials = ray.get(

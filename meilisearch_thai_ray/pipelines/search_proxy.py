@@ -22,12 +22,17 @@ Faithful re-implementation (exact constants) of the reference's query side:
   * D2 dedup by doc id with full tie-breaking (result_ranker.py:487-565):
     (-score, variant priority TOKENIZED>ORIGINAL>COMPOUND_SPLIT>FALLBACK,
     engine priority, position, -weight, -content_length);
-  * final sort desc, min_score_threshold=0.1, top-k.
+  * final sort desc, min_score_threshold=0.1, top-k;
+  * D3 within-result clustering (result_ranker.py:635-712): a hit whose
+    first 500 chars reach SequenceMatcher ratio 0.85 against a higher-ranked
+    accepted hit is dropped, at most 100 pairs per request; exact upper
+    bounds on the ratio rule most pairs out before ratio() (_near_duplicate).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..config import EngineConfig
@@ -259,6 +264,87 @@ class SearchOptions:
                 raise ValueError(f"{name} must be in [0.1, 5.0]")
         if self.max_query_variants is not None and not 1 <= self.max_query_variants <= 10:
             raise ValueError("max_query_variants must be in [1, 10]")
+
+
+# ------------------------------------------------ D3 near-duplicate bounds
+#
+# SequenceMatcher(None, a, b).ratio() is 2*M/(la+lb), where M is the total
+# size of its matching blocks.  Those blocks are equal, ordered and
+# non-overlapping in both texts, so they form a common subsequence:
+# M <= LCS(a, b) <= (shared character multiset) <= min(la, lb).  Each bound
+# below puts one of those numerators over the same denominator with the
+# same arithmetic as difflib, so in floating point too it is >= ratio(): a
+# pair whose bound is below the threshold cannot be a near-duplicate, and
+# only pairs no bound rules out pay for the full ratio().
+
+class _ClusterText:
+    """A clustering text with the per-text parts of the bounds: its
+    character counts, and (built on first use) the per-character position
+    bitmasks the LCS bound reads on its b side."""
+
+    __slots__ = ("text", "counts", "_masks")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.counts = Counter(text)
+        self._masks: dict[str, int] | None = None
+
+    def masks(self) -> dict[str, int]:
+        if self._masks is None:
+            masks: dict[str, int] = {}
+            for j, ch in enumerate(self.text):
+                masks[ch] = masks.get(ch, 0) | (1 << j)
+            self._masks = masks
+        return self._masks
+
+
+def _ratio_of(matches: int, length: int) -> float:
+    # difflib._calculate_ratio, operation for operation
+    return 2.0 * matches / length if length else 1.0
+
+
+def _length_bound(a: _ClusterText, b: _ClusterText) -> float:
+    """= SequenceMatcher.real_quick_ratio()."""
+    la, lb = len(a.text), len(b.text)
+    return _ratio_of(min(la, lb), la + lb)
+
+
+def _multiset_bound(a: _ClusterText, b: _ClusterText) -> float:
+    """= SequenceMatcher.quick_ratio()."""
+    return _ratio_of((a.counts & b.counts).total(),
+                     len(a.text) + len(b.text))
+
+
+def _lcs_bound(a: _ClusterText, b: _ClusterText) -> float:
+    """2*LCS/(la+lb), the LCS by the bit-parallel Allison-Dix/Hyyro
+    recurrence.  v holds one DP row over b as its steps: bit j is 0 where
+    LCS(a-prefix read so far, b[:j+1]) exceeds LCS(.., b[:j]), so after
+    the last character of a the zero bits of v count LCS(a, b)."""
+    lb = len(b.text)
+    full = (1 << lb) - 1
+    masks = b.masks()
+    v = full
+    for ch in a.text:
+        m = masks.get(ch)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return _ratio_of(lb - v.bit_count(), len(a.text) + lb)
+
+
+_RATIO_BOUNDS = (_length_bound, _multiset_bound, _lcs_bound)  # cheapest first
+
+
+def _near_duplicate(a: _ClusterText, b: _ClusterText) -> bool:
+    """SequenceMatcher(None, a, b).ratio() >= SIMILARITY_THRESHOLD, with the
+    ratio computed only when no upper bound rules the pair out."""
+    if any(bound(a, b) < SIMILARITY_THRESHOLD for bound in _RATIO_BOUNDS):
+        return False
+    # resolved at call time, so a patched difflib.SequenceMatcher is used
+    from difflib import SequenceMatcher
+
+    return SequenceMatcher(None, a.text, b.text).ratio() >= \
+        SIMILARITY_THRESHOLD
 
 
 class SearchProxy:
@@ -877,7 +963,7 @@ class SearchProxy:
         if options and options.ranking_score_threshold is not None:
             min_score = max(min_score, options.ranking_score_threshold)
         out = []
-        accepted_texts: list[str] = []
+        accepted: list[_ClusterText] = []
         comparisons = 0
         cluster = (
             algorithm == "weighted_score"
@@ -908,25 +994,24 @@ class SearchProxy:
                 # D3 within-result-set clustering (result_ranker.py:635-712):
                 # a hit near-identical (SequenceMatcher >= 0.85) to an
                 # already-accepted higher-ranked hit is dropped; comparisons
-                # are capped (max_similarity_comparisons)
-                from difflib import SequenceMatcher
-
-                text = self._doc_texts([hit["doc_id"]]).get(
+                # are capped (max_similarity_comparisons) and count every
+                # pair considered, including those _near_duplicate's bounds
+                # rule out without a ratio()
+                cand = _ClusterText(self._doc_texts([hit["doc_id"]]).get(
                     hit["doc_id"], ""
-                )[:500]
+                )[:500])
                 dup = False
-                if text:
-                    for at in accepted_texts:
+                if cand.text:
+                    for acc in accepted:
                         if comparisons >= MAX_SIMILARITY_COMPARISONS:
                             break
                         comparisons += 1
-                        if SequenceMatcher(None, text, at).ratio() >= \
-                                SIMILARITY_THRESHOLD:
+                        if _near_duplicate(cand, acc):
                             dup = True
                             break
                 if dup:
                     continue
-                accepted_texts.append(text)
+                accepted.append(cand)
             out.append(
                 {
                     "doc_id": hit["doc_id"],

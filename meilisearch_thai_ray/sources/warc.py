@@ -274,19 +274,27 @@ def _drop_status(batch: pa.Table) -> pa.Table:
     return batch.filter(ok).select(["url", "html", "lang"])
 
 
+# archive names a directory read picks up: WARC, gzipped WARC and gzipped
+# WET (Common Crawl's *.warc.wet.gz)
+WARC_SUFFIXES = (".warc", ".warc.gz", ".wet.gz")
+
+
 def read_warc_pages(path: str,
                     include_failed: bool = False,
                     record_types: tuple = ("response",)) -> ray.data.Dataset:
     """WARC file(s)/directory -> pages Dataset, one streaming parse task
     per file. Default output is (url, html, lang) well-formed pages — a
     drop-in input for index.build_index; include_failed=True keeps the
-    dead-letter rows and the (status, error) columns for auditing."""
+    dead-letter rows and the (status, error) columns for auditing.  A
+    directory walk reads only archive names (WARC_SUFFIXES), so derived
+    state kept next to the archives never reaches the parser."""
     import os
 
     if os.path.isdir(path):
         files = sorted(
             os.path.join(root, f)
-            for root, _, names in os.walk(path) for f in names)
+            for root, _, names in os.walk(path) for f in names
+            if f.endswith(WARC_SUFFIXES))
     else:
         files = [path]
     # one PATH row per archive (a driver-side metadata listing — CC ships
@@ -660,6 +668,8 @@ class RevisitWarcSink:
                  cache_shards: int = 4):
         import ray as _ray
 
+        if not out_dir:
+            raise ValueError("RevisitWarcSink needs an out_dir")
         self.prior = (_ray.get(prior_ref) if prior_ref is not None else None)
         self.shard_dir = shard_dir
         self.num_shards = num_shards
@@ -761,6 +771,8 @@ def write_warc_pages_revisit(ds: "ray.data.Dataset", out_dir: str,
       crawl loop's canonical-url dedup already needs — reuse ONE key.
       Record bytes are identical to broadcast mode (asserted in pytest);
       only the file packing differs (batch boundaries follow the route).
+      The shards go to `shard_work_dir`, by default `<out_dir>.prior_shards`
+      beside the archive, so re-reading the archive never meets them.
     * "auto" (default) — broadcast up to REVISIT_BROADCAST_MAX_ROWS prior
       rows, sharded above.
     """
@@ -806,7 +818,8 @@ def write_warc_pages_revisit(ds: "ray.data.Dataset", out_dir: str,
         if n_prior is None:
             n_prior = prior_cdx.count()
         num_shards = max(8, -(-n_prior // REVISIT_ROWS_PER_SHARD))
-    shard_dir = shard_work_dir or os.path.join(out_dir, "_prior_shards")
+    # beside the archive, not in it: the archive dir holds archives only
+    shard_dir = shard_work_dir or os.path.normpath(out_dir) + ".prior_shards"
     shard_prior_cdx(prior_cdx, shard_dir, int(num_shards))
 
     def _route(batch: pa.Table) -> pa.Table:

@@ -172,7 +172,7 @@ def main() -> None:
     # auto mode shards the prior digest map above the documented row
     # threshold — report the mode the sink ACTUALLY took (shard layout on
     # disk), not a re-derivation of its threshold rule
-    shards_dir = os.path.join(dir_b, "_prior_shards")
+    shards_dir = os.path.normpath(dir_b) + ".prior_shards"
     out["revisit_mode"] = ("sharded" if os.path.isdir(shards_dir)
                            else "broadcast")
     out["revisit_prior_shards"] = (len(os.listdir(shards_dir))

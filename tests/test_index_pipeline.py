@@ -835,6 +835,32 @@ def test_warc_corrupt_records_dead_letter_not_task_failure(
     assert len(SearchEngine(str(out)).search("สาหร่ายวากาเมะ")) >= 1
 
 
+def test_warc_dir_read_skips_non_archive_files(ray_session, tmp_path):
+    """A directory walk reads archive names only: derived files kept next
+    to the archives (a stray parquet, a shard layout) yield no dead-letter
+    rows."""
+    import gzip
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from meilisearch_thai_ray.sources.warc import read_warc_pages
+
+    recs = [("response", "http://s.example/1", b"<html>one</html>"),
+            ("response", "http://s.example/2", b"<html>two</html>")]
+    d = tmp_path / "warc"
+    (d / "_prior_shards" / "shard=0").mkdir(parents=True)
+    (d / "a.warc").write_bytes(_warc_bytes(recs[:1]))
+    (d / "b.warc.gz").write_bytes(gzip.compress(_warc_bytes(recs[1:])))
+    stray = pa.table({"url": ["http://s.example/1"], "digest": ["x"]})
+    pq.write_table(stray, str(d / "stray.parquet"))
+    pq.write_table(stray, str(d / "_prior_shards" / "shard=0" / "p.parquet"))
+
+    full = read_warc_pages(str(d), include_failed=True).to_pandas()
+    assert (full["status"] == "completed").all()
+    assert sorted(full["url"]) == ["http://s.example/1", "http://s.example/2"]
+
+
 def test_proximity_topk_min_window_ranking(pos_index):
     """proximity_topk: cost == (minimal token window covering every query
     term) - n_terms, validated against a brute-force scan of the raw texts;

@@ -668,3 +668,242 @@ def test_only_negative_query_is_placeholder_minus_excluded(neg_index):
     full = p.search("-zzznotaword", k=10)
     assert [h["doc_id"] for h in full] == sorted(ids)
     assert all(h["variant_type"] == "placeholder" for h in full)
+
+
+# ------------------- D3 clustering: exact bounds, brute-force equality -------
+
+def _edit(rng, text: str, n_edits: int, alphabet: str) -> str:
+    """`n_edits` random single-character insertions, deletions and
+    substitutions."""
+    chars = list(text)
+    for _ in range(n_edits):
+        op = rng.choice("ids") if chars else "i"
+        i = rng.randrange(len(chars) + (op == "i"))
+        if op == "i":
+            chars.insert(i, rng.choice(alphabet))
+        elif op == "d":
+            del chars[i]
+        else:
+            chars[i] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+def _bound_pairs() -> list[tuple[str, str]]:
+    """Seeded Thai and Latin text pairs, truncated to 500 chars as the
+    proxy truncates them: unrelated pairs, near-duplicates from 1-20
+    character edits, heavier edits and prefixes that straddle the 0.85
+    threshold, and empty or one-sided-empty texts."""
+    import random
+
+    from meilisearch_thai_ray.fixtures.pages import generate_pages
+
+    rng = random.Random(20240611)
+    texts = generate_pages(24, seed=7, lines_range=(20, 50))["text"] \
+        .to_pylist()
+    thai = "".join(chr(c) for c in range(0x0E01, 0x0E3B)) + " "
+    latin = "abcdefghijklmnopqrstuvwxyz "
+    texts += ["".join(rng.choice(latin) for _ in range(rng.randint(300, 700)))
+              for _ in range(4)]
+    texts = [t[:500] for t in texts]
+    pairs = []
+    for i, t in enumerate(texts):
+        alphabet = latin if t.isascii() else thai
+        pairs.append((t, texts[(i + 1) % len(texts)]))
+        edits = [1, 2, 5, 10, 20, rng.randint(1, 20)]
+        if i % 4 == 0:
+            edits += range(30, 110, 8)  # ratios down through 0.85
+        for n in edits:
+            near = _edit(rng, t, n, alphabet)
+            pairs.append((near, t) if n % 2 else (t, near))
+    # a text against its own prefix: every bound equals the ratio, so the
+    # cascade meets the threshold with no slack
+    pairs += [(t, t[:n]) for t in texts[:3] for n in range(360, 420, 10)]
+    pairs += [("", ""), ("", texts[0]), (texts[0], ""), ("ก", "ก"),
+              ("ab", "ba"), ("a" * 600, "a" * 450)]
+    return [(a[:500], b[:500]) for a, b in pairs]
+
+
+def _lcs_dp(a: str, b: str) -> int:
+    prev = [0] * (len(b) + 1)
+    for ca in a:
+        cur = [0]
+        for j, cb in enumerate(b):
+            cur.append(prev[j] + 1 if ca == cb else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
+def test_cluster_bounds_are_exact_upper_bounds_of_ratio():
+    """Each bound is >= SequenceMatcher.ratio() (so a pair it rules out is
+    never a near-duplicate), the cascade is ordered cheapest-loosest first,
+    and _near_duplicate decides every pair as ratio() alone does."""
+    from difflib import SequenceMatcher
+
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    pairs = _bound_pairs()
+    ratios = []
+    for a, b in pairs:
+        ta, tb = sp._ClusterText(a), sp._ClusterText(b)
+        matcher = SequenceMatcher(None, a, b)
+        r = matcher.ratio()
+        bounds = [bound(ta, tb) for bound in sp._RATIO_BOUNDS]
+        assert all(x >= r for x in bounds), (a[:40], b[:40], bounds, r)
+        assert bounds == sorted(bounds, reverse=True)
+        assert bounds[0] == matcher.real_quick_ratio()
+        assert bounds[1] == matcher.quick_ratio()
+        assert sp._near_duplicate(ta, tb) == (r >= sp.SIMILARITY_THRESHOLD)
+        ratios.append(r)
+    # pairs close to both sides of the threshold
+    assert any(0.85 <= r < 0.88 for r in ratios)
+    assert any(0.82 <= r < 0.85 for r in ratios)
+    # the bit-parallel LCS is the LCS
+    for a, b in pairs[::9]:
+        a, b = a[:120], b[:120]
+        got = sp._lcs_bound(sp._ClusterText(a), sp._ClusterText(b))
+        assert got == sp._ratio_of(_lcs_dp(a, b), len(a) + len(b))
+
+
+# the request shapes of the proxy benchmark (perfbench/bench_inputs.py)
+_SHAPES = {
+    "default": ("{q}", {}),
+    "frequency": ("{q}", {"matching_strategy": "frequency"}),
+    "typo": ("{q}", {"typo_tolerance": True, "matching_strategy": "any"}),
+    "highlight": ("{q}", {"highlight": True, "show_matches_position": True}),
+    "rules": ("{q}", {"ranking_rules": True}),
+    "lang": ("{q}", {"filters": {"lang": "th"}}),
+    "phrase": ('"{q}"', {}),
+    "negative": ("{q} -{neg}", {}),
+}
+
+
+def _reference_cluster(ids: list[int], texts: dict[int, str], cap: int,
+                       limit: int) -> tuple[list[int], int]:
+    """The reference's D3 loop (result_ranker.py:635-712) with the full
+    ratio() for every pair: walk the hits in rank order, drop one whose
+    first 500 chars reach the threshold against an accepted hit, count
+    every pair considered against the cap.  -> (kept ids, duplicates)."""
+    from difflib import SequenceMatcher
+
+    from meilisearch_thai_ray.pipelines.search_proxy import (
+        SIMILARITY_THRESHOLD)
+
+    kept, accepted, comparisons, dups = [], [], 0, 0
+    for d in ids:
+        text = texts.get(d, "")[:500]
+        dup = False
+        if text:
+            for at in accepted:
+                if comparisons >= cap:
+                    break
+                comparisons += 1
+                if SequenceMatcher(None, text, at).ratio() >= \
+                        SIMILARITY_THRESHOLD:
+                    dup = True
+                    break
+        if dup:
+            dups += 1
+            continue
+        accepted.append(text)
+        kept.append(d)
+        if len(kept) >= limit:
+            break
+    return kept, dups
+
+
+def _assert_clustering_matches_brute_force(monkeypatch, eng, docs_path,
+                                           queries, neg, cap=None):
+    """Every query in every benchmark shape returns the same ids in the
+    same order as the reference loop run over the same request's
+    unclustered hits.  The rules chain reorders the clustered list after
+    clustering, so it is taken out here to compare the clustering itself.
+    -> (duplicates dropped, requests whose answer the cap changed)."""
+    import pyarrow.parquet as pq
+
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    if cap is not None:
+        monkeypatch.setattr(sp, "MAX_SIMILARITY_COMPARISONS", cap)
+    monkeypatch.setattr(SearchProxy, "_rules_chain_order",
+                        lambda self, query, hits, want_details=False: hits)
+    docs = pq.read_table(docs_path, columns=["doc_id", "text"])
+    texts = dict(zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()))
+
+    def run(q, shape, limit, cluster):
+        fmt, opts = _SHAPES[shape]
+        proxy = SearchProxy(eng, docs_path=docs_path,
+                            enable_content_similarity_dedup=cluster)
+        hits = proxy.search(fmt.format(q=q, neg=neg),
+                            options=sp.SearchOptions(limit=limit, **opts))
+        return [h["doc_id"] for h in hits]
+
+    dups = capped = 0
+    for q in queries:
+        for shape in _SHAPES:
+            walked = run(q, shape, 100, cluster=False)
+            want, n = _reference_cluster(walked, texts,
+                                         sp.MAX_SIMILARITY_COMPARISONS, 10)
+            assert run(q, shape, 10, cluster=True) == want, (q, shape)
+            dups += n
+            capped += want != _reference_cluster(walked, texts, 1 << 30,
+                                                 10)[0]
+    return dups, capped
+
+
+@pytest.fixture(scope="module")
+def neardup_pages_index(ray_session, tmp_path_factory):
+    """200 benchmark-sized fixture pages plus a near-duplicate (a few
+    characters edited) of every fourth page, with a typo index."""
+    import os
+    import random
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from meilisearch_thai_ray.fixtures.pages import generate_pages
+    from meilisearch_thai_ray.index.build import build_typo_index
+
+    root = tmp_path_factory.mktemp("neardup_pages")
+    pages = root / "pages"
+    pages.mkdir()
+    base = generate_pages(200, seed=11, lines_range=(20, 50))
+    pq.write_table(base, str(pages / "pages-0.parquet"))
+    rng = random.Random(11)
+    copies = base.take(list(range(0, 200, 4)))
+    urls = [u + "?copy" for u in copies["url"].to_pylist()]
+    htmls = [h.replace(b"</h1>", rng.choice([" ก", " ขอ", " x1"]).encode()
+                       + b"</h1>", 1)
+             for h in copies["html"].to_pylist()]
+    copies = copies.set_column(0, "url", pa.array(urls, pa.string())) \
+        .set_column(2, "html", pa.array(htmls, pa.binary()))
+    pq.write_table(copies, str(pages / "pages-1.parquet"))
+    out = str(root / "index")
+    build_index(str(pages), out, EngineConfig(num_shards=4), num_salts=1,
+                batch_size=64)
+    build_typo_index(out)
+    return SearchEngine(out), os.path.join(out, "docs")
+
+
+def test_cluster_matches_brute_force_neardup_index(monkeypatch,
+                                                   neardup_index):
+    eng, docs_path = neardup_index
+    dups, _ = _assert_clustering_matches_brute_force(
+        monkeypatch, eng, docs_path, ["wakameclone", "wakameclone seaweed",
+                                      "filler document"], neg="fill3a")
+    assert dups > 0
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_cluster_matches_brute_force_pages_index(monkeypatch, cap,
+                                                 neardup_pages_index):
+    """The fixture queries in every benchmark request shape, under the
+    reference comparison cap and under a cap of 3: the cap counts every
+    pair considered, whether or not a bound rules it out."""
+    from meilisearch_thai_ray.fixtures.queries import QUERY_FIXTURES
+
+    eng, docs_path = neardup_pages_index
+    queries = [f["query"] for f in QUERY_FIXTURES][::3]
+    dups, capped = _assert_clustering_matches_brute_force(
+        monkeypatch, eng, docs_path, queries, neg="machine", cap=cap)
+    assert dups > 0
+    assert (capped > 0) == (cap is not None)

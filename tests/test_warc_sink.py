@@ -306,12 +306,14 @@ def test_revisit_sharded_matches_broadcast(pages_dir, tmp_path):
         sum(m["n_response"] for m in man_bc) > 0
     assert records_of(dir_sh) == records_of(dir_bc)  # byte-identical records
     # the sharded prior map landed as url_h-partitioned parquet slices
-    shard_dirs = glob.glob(os.path.join(dir_sh, "_prior_shards", "shard=*"))
+    # beside the archive dir, which holds archives only
+    shard_dirs = glob.glob(os.path.join(dir_sh + ".prior_shards", "shard=*"))
     assert len(shard_dirs) > 1
+    assert all(f.endswith(".warc.gz") for f in os.listdir(dir_sh))
     # auto mode at this (tiny) map size stays broadcast: documented threshold
     dir_auto = str(tmp_path / "auto")
     write_warc_pages_revisit(pages_b, dir_auto, cdx_a, mode="auto")
-    assert not os.path.isdir(os.path.join(dir_auto, "_prior_shards"))
+    assert not os.path.isdir(dir_auto + ".prior_shards")
     assert records_of(dir_auto) == records_of(dir_bc)
 
 
@@ -368,6 +370,13 @@ def test_revisit_shard_lru_bounded(pages_dir, tmp_path):
     # every page was unchanged -> all lookups hit through the shard path
     man = cdx_index_warc_dir(str(tmp_path / "out")).to_pandas()
     assert (man["record_type"] == "revisit").all()
+
+
+def test_revisit_sink_requires_out_dir():
+    from meilisearch_thai_ray.sources.warc import RevisitWarcSink
+
+    with pytest.raises(ValueError, match="out_dir"):
+        RevisitWarcSink(prior_ref=None)
 
 
 def test_warc_revisit_demo_counts(ray_session):
