@@ -111,8 +111,6 @@ def run_bench() -> dict:
     out = f"/tmp/meili_ray_bench/index_{NUM_CPUS}"
     shutil.rmtree(out, ignore_errors=True)
     cfg = EngineConfig(num_shards=32)
-    # phased build measured fastest here (2301 docs/s @8cpu vs 1464 fused):
-    # separate jobs let the object store pipeline read/tokenize/write stages.
     # min of 2 builds: this VM shows sporadic hypervisor stalls (BASELINE.md)
     build_sec, eff_cores = float("inf"), 0.0
     for rep in range(2):

@@ -180,6 +180,7 @@ def build_docs(pages_path: str, out_dir: str, config: EngineConfig, *,
     docs.write_parquet(docs_dir)
     os.makedirs(docs_dir, exist_ok=True)  # zero-row corpus: sink writes nothing
     _save_stage_stats(docs, out_dir, "docs")
+    wall = time.time() - t0
     manifest.record_partition(
         "docs",
         {
@@ -187,10 +188,10 @@ def build_docs(pages_path: str, out_dir: str, config: EngineConfig, *,
             "input": pages_path,
             "dictionary_hash": config.dictionary_hash(),
             "extractor_version": EXTRACTOR_VERSION,
-            "wall_s": time.time() - t0,
+            "wall_s": wall,
         },
     )
-    manifest.mark_phase_done("docs")
+    manifest.mark_phase_done("docs", {"wall_s": wall})
     return docs_dir
 
 
@@ -201,6 +202,7 @@ def compute_stats(docs_dir: str, out_dir: str, config: EngineConfig) -> dict:
     if manifest.phase_done("stats"):
         with open(meta_path) as f:
             return json.load(f)
+    t0 = time.time()
     has_files = any(f.endswith(".parquet") for f in os.listdir(docs_dir))
     if not has_files:
         n_docs, sum_dl = 0, 0
@@ -258,7 +260,7 @@ def compute_stats(docs_dir: str, out_dir: str, config: EngineConfig) -> dict:
     with open(tmp, "w") as f:
         json.dump(meta, f, indent=1)
     os.replace(tmp, meta_path)
-    manifest.mark_phase_done("stats")
+    manifest.mark_phase_done("stats", {"wall_s": time.time() - t0})
     return meta
 
 
@@ -274,7 +276,7 @@ def _spill_postings_batch(batch: pa.Table, spill_dir: str) -> pa.Table:
 
     Retry-idempotent: file names are a content hash of the batch's doc_ids, so
     a re-executed map task atomically overwrites its own files instead of
-    appending duplicates (same scheme as the fused build's docs side-writes)."""
+    appending duplicates."""
     import hashlib
 
     import polars as pl
@@ -501,165 +503,6 @@ def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, 
     return manifest.partitions("shards")
 
 
-@ray.remote
-class StatsAccumulator:
-    """Running (n_docs, sum_dl) totals, fed by the fused extract stage.
-
-    The groupby shuffle is a barrier: every upstream map task completes before
-    any map_groups task runs, so totals read inside encode are final.
-    Contributions carry an idempotency key (batch content hash) so a retried
-    task never double-counts."""
-
-    def __init__(self):
-        self.n = 0
-        self.sum_dl = 0
-        self._seen: set[str] = set()
-
-    def add(self, key: str, n: int, sum_dl: int) -> None:
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.n += n
-        self.sum_dl += sum_dl
-
-    def totals(self) -> tuple[int, int]:
-        return self.n, self.sum_dl
-
-
-def _fused_extract_postings(batch: pa.Table, *, config: EngineConfig,
-                            docs_dir: str, num_salts: int, stats_actor) -> pa.Table:
-    """Fused stage: extract+tokenize -> (a) atomic side-write of the docs rows,
-    (b) stats increment, (c) flat posting rows out.
-
-    Retry-idempotent: the docs file name is a content hash of the batch's urls,
-    so a re-executed task atomically overwrites its own file, never duplicates.
-    """
-    import hashlib
-
-    from ..stages.extract_tokenize import extract_tokenize_fn
-    from ..stages.postings import postings_flat_fn
-
-    docs = extract_tokenize_fn(batch, config=config)
-    urls_digest = hashlib.md5("\n".join(batch["url"].to_pylist()).encode()).hexdigest()[:16]
-    atomic_write_parquet(docs, os.path.join(docs_dir, f"docs-{urls_digest}.parquet"))
-    # dead-letter rows are excluded from N (phased-build parity: compute_stats
-    # filters status != "failed"); their token_count is 0 so sum_dl is safe
-    n = docs.num_rows - int(
-        pc.sum(pc.equal(docs["status"], "failed").cast(pa.int64())).as_py() or 0
-    )
-    sum_dl = int(pc.sum(docs["token_count"]).as_py() or 0)
-    # AWAIT the actor ack: the groupby barrier only guarantees map TASKS have
-    # finished — a fire-and-forget add could still be in flight when the first
-    # encode task reads totals, baking a partial avgdl into block_max
-    ray.get(stats_actor.add.remote(urls_digest, n, sum_dl))
-    return postings_flat_fn(
-        docs, num_shards=config.num_shards, num_salts=num_salts,
-        positions=getattr(config, "store_positions", False),
-    )
-
-
-_FUSED_AVGDL_CACHE: dict = {}
-
-
-def _encode_part_lazy_stats(group: pa.Table, *, out_dir: str, stats_actor,
-                            k1: float, b: float, block: int,
-                            num_salts: int) -> pa.Table:
-    """Encode callback for the fused build: avgdl is fetched from the stats
-    actor on first use (final by barrier, see StatsAccumulator) and cached per
-    worker process, keyed by the actor's globally-unique id (id() of the
-    handle object could recycle across builds in a reused worker)."""
-    key = stats_actor._actor_id.hex()
-    avgdl = _FUSED_AVGDL_CACHE.get(key)
-    if avgdl is None:
-        n, sum_dl = ray.get(stats_actor.totals.remote())
-        avgdl = (sum_dl / n) if n else 0.0
-        _FUSED_AVGDL_CACHE[key] = avgdl
-    return _encode_part(group, out_dir=out_dir, avgdl=avgdl, k1=k1, b=b,
-                        block=block, num_salts=num_salts)
-
-
-def build_index_fused(pages_path: str, out_dir: str,
-                      config: EngineConfig | None = None, *,
-                      num_salts: int = 1, batch_size: int = 256) -> dict:
-    """Single-job build: pages -> fused extract/postings -> groupby -> shards.
-
-    Same outputs as the phased build (shard bytes identical, docs row set
-    identical — file layout differs) with two Ray jobs fewer and no
-    docs-parquet round trip: the throughput/scaling path. Resume granularity
-    is coarser (a crash mid-job redoes the whole job; completed shard files
-    are still skipped)."""
-    import functools
-
-    config = config or EngineConfig()
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = BuildManifest(out_dir)
-    meta_path = os.path.join(out_dir, "meta.json")
-    if manifest.phase_done("shards"):
-        _guard_shards_layout(out_dir, config, num_salts)  # raises on mismatch
-        build_term_dict(out_dir)  # phase-guarded: heals a crash-after-shards
-        with open(meta_path) as f:
-            return json.load(f)
-    _guard_shards_layout(out_dir, config, num_salts)
-    t0 = time.time()
-    docs_dir = os.path.join(out_dir, "docs")
-    os.makedirs(docs_dir, exist_ok=True)
-    for f in os.listdir(docs_dir):  # a crashed fused run leaves partial files
-        os.remove(os.path.join(docs_dir, f))
-    stats_actor = StatsAccumulator.remote()
-
-    pages = read_pages(pages_path)
-    postings = pages.map_batches(
-        functools.partial(
-            _fused_extract_postings, config=config, docs_dir=docs_dir,
-            num_salts=num_salts, stats_actor=stats_actor,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    encode = functools.partial(
-        _encode_part_lazy_stats, out_dir=out_dir, stats_actor=stats_actor,
-        k1=config.k1, b=config.b, block=config.posting_block, num_salts=num_salts,
-    )
-    summaries = postings.groupby("part").map_groups(
-        encode, batch_format="pyarrow"
-    ).take_all()
-
-    n_docs, sum_dl = ray.get(stats_actor.totals.remote())
-    meta = {
-        "n_docs": int(n_docs),
-        "sum_dl": int(sum_dl),
-        "avgdl": (sum_dl / n_docs) if n_docs else 0.0,
-        "k1": config.k1,
-        "b": config.b,
-        "posting_block": config.posting_block,
-        "num_shards": config.num_shards,
-        "num_salts": num_salts,
-        "store_positions": getattr(config, "store_positions", False),
-        "dictionary_hash": config.dictionary_hash(),
-        "extractor_version": EXTRACTOR_VERSION,
-        "separator_tokens": list(config.separator_tokens),
-        "non_separator_tokens": list(config.non_separator_tokens),
-        "build_mode": "fused",
-    }
-    tmp = meta_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f, indent=1)
-    os.replace(tmp, meta_path)
-    for row in summaries:
-        manifest.record_partition(
-            "shards",
-            {"partition": int(row["part"]), "shard": int(row["shard"]),
-             "salt": int(row["salt"]), "n_terms": int(row["n_terms"]),
-             "n_postings": int(row["n_postings"]), "bytes": int(row["bytes"]),
-             "wall_s": float(row["wall_s"]), "skipped": bool(row["skipped"])},
-        )
-    manifest.mark_phase_done("docs", {"mode": "fused"})
-    manifest.mark_phase_done("stats", {"mode": "fused"})
-    manifest.mark_phase_done("shards", {"wall_s": time.time() - t0, "mode": "fused"})
-    build_term_dict(out_dir)
-    return meta
-
-
 def build_term_dict(out_dir: str) -> str:
     """Phase 'dict': globally SORTED (term, df, cf) dictionary parquet.
 
@@ -793,14 +636,17 @@ def build_typo_index(out_dir: str) -> str:
 
 
 def build_index(pages_path: str, out_dir: str, config: EngineConfig | None = None, *,
-                num_salts: int = 1, batch_size: int = 256) -> dict:
-    """Full build (all phases, resumable). Returns meta dict."""
+                num_salts: int = 1, batch_size: int = 256,
+                shuffle: str = "auto") -> dict:
+    """Full build (all phases, resumable). Returns meta dict. `shuffle`
+    picks build_shards' posting exchange."""
     config = config or EngineConfig()
     os.makedirs(out_dir, exist_ok=True)
     docs_dir = build_docs(pages_path, out_dir, config, batch_size=batch_size)
     meta = compute_stats(docs_dir, out_dir, config)
     meta["num_salts"] = num_salts
-    build_shards(docs_dir, out_dir, config, meta, num_salts=num_salts)
+    build_shards(docs_dir, out_dir, config, meta, num_salts=num_salts,
+                 shuffle=shuffle)
     build_term_dict(out_dir)
     # persist the actual salt count used (query reader needs it)
     meta_path = os.path.join(out_dir, "meta.json")

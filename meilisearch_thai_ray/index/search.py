@@ -33,6 +33,27 @@ from ..kernel.bm25 import idf as _idf
 from ..kernel.tokenize import DocumentTokenizer
 from .codec import decode_segment, tfn_scores
 
+# shard term tables one engine keeps loaded; the cache resets past this
+SHARD_CACHE_CAP = 64
+
+
+def _select_topk(ids: np.ndarray, acc: np.ndarray, k: int,
+                 dead: np.ndarray | None = None) -> list[tuple[int, float]]:
+    """The k best (doc_id, score) rows by (-score, doc_id), tombstoned ids
+    (`dead`) dropped first. Exact under ties: every id scoring >= the kth
+    value survives the partition, so a tie at the cut-off breaks by doc_id."""
+    if k <= 0:
+        return []
+    if dead is not None:
+        alive = ~np.isin(ids, dead)
+        ids, acc = ids[alive], acc[alive]
+    if ids.size > k:
+        kth = np.partition(acc, ids.size - k)[ids.size - k]
+        sel = np.flatnonzero(acc >= kth)
+        ids, acc = ids[sel], acc[sel]
+    order = np.lexsort((ids, -acc))[:k]
+    return [(int(ids[i]), float(acc[i])) for i in order]
+
 
 def _min_window_cost(plists: list[np.ndarray]) -> int:
     """Minimal token window covering one position from EVERY list, minus
@@ -103,16 +124,12 @@ class SearchEngine:
 
     def __init__(self, index_dir: str, config: EngineConfig | None = None,
                  tokenizer: DocumentTokenizer | None = None,
-                 shard_cache_cap: int = 64,
                  salts: set[int] | None = None,
                  avgdl_override: float | None = None,
                  n_docs_override: int | None = None,
                  shadow: "np.ndarray | None" = None):
         with open(os.path.join(index_dir, "meta.json")) as f:
             self.meta = json.load(f)
-        # a ShardServer owning > cap shards must RAISE the cap, or warming
-        # its range would evict the shards it just loaded
-        self.shard_cache_cap = shard_cache_cap
         # salts != None restricts this engine to a doc partition (salt =
         # doc_id % num_salts): local df is then PARTIAL — scoring must use
         # score_topk_given_idf with globally-summed dfs
@@ -193,7 +210,7 @@ class SearchEngine:
                      cols["dls_bin"][i], cols["block_last"][i],
                      cols["block_max"][i], pos[i])
                 )
-        if len(self._shard_cache) > self.shard_cache_cap:
+        if len(self._shard_cache) > SHARD_CACHE_CAP:
             self._shard_cache.clear()
         self._shard_cache[shard] = terms
         return terms
@@ -286,6 +303,8 @@ class SearchEngine:
 
         match: "any" (OR, default BM25) or "all" (docs must contain every query
         term — Meilisearch matchingStrategy="all", search_executor.py:731-753)."""
+        if k <= 0:
+            return []
         weights = Counter(terms)
         ordered = sorted(weights)
         loaded = []
@@ -426,18 +445,7 @@ class SearchEngine:
             acc = np.zeros(uniq.size, dtype=np.float64)
             acc[np.searchsorted(uniq, head_ids)] += head_acc
             acc[np.searchsorted(uniq, grp_ids)] += grp_max
-        if self._dead_arr is not None:
-            alive = ~np.isin(uniq, self._dead_arr)
-            uniq, acc = uniq[alive], acc[alive]
-        if uniq.size == 0:
-            return []
-        if uniq.size <= k:
-            order = np.lexsort((uniq, -acc))
-        else:
-            kth = np.partition(acc, uniq.size - k)[uniq.size - k]
-            sel = np.flatnonzero(acc >= kth)
-            order = sel[np.lexsort((uniq[sel], -acc[sel]))]
-        return [(int(uniq[i]), float(acc[i])) for i in order[:k]]
+        return _select_topk(uniq, acc, k, self._dead_arr)
 
     def search_matching(self, query: str, k: int = 10,
                         strategy: str = "last",
@@ -514,22 +522,7 @@ class SearchEngine:
             np.add.at(counts, inv, np.ones(all_ids.size, dtype=np.int32))
             keep = counts == require_all_terms
             uniq, acc = uniq[keep], acc[keep]
-            if uniq.size == 0:
-                return []
-        if self._dead_arr is not None:  # tombstoned docs never surface
-            alive = ~np.isin(uniq, self._dead_arr)
-            uniq, acc = uniq[alive], acc[alive]
-            if uniq.size == 0:
-                return []
-        if uniq.size <= k:
-            order = np.lexsort((uniq, -acc))
-        else:
-            # exact selection under ties: keep every doc scoring >= kth value,
-            # then order by (-score, doc_id)
-            kth = np.partition(acc, uniq.size - k)[uniq.size - k]
-            sel = np.flatnonzero(acc >= kth)
-            order = sel[np.lexsort((uniq[sel], -acc[sel]))]
-        return [(int(uniq[i]), float(acc[i])) for i in order[:k]]
+        return _select_topk(uniq, acc, k, self._dead_arr)
 
     def _score_maxscore(self, loaded, k: int) -> list[tuple[int, float]]:
         """Vectorized MaxScore (Turtle & Flood) — the measured scale path.
@@ -587,10 +580,6 @@ class SearchEngine:
         cand = np.unique(np.concatenate(
             [s.doc_ids for i in essential for s in loaded[i][3]]
         ))
-        if self._dead_arr is not None:
-            cand = cand[~np.isin(cand, self._dead_arr)]
-        if cand.size == 0:
-            return []
         # --- exact scoring of candidates, sorted-term order ---
         acc = np.zeros(cand.size, dtype=np.float64)
         for _term, w, idf_t, segs in loaded:  # loaded is sorted-term order
@@ -600,13 +589,7 @@ class SearchEngine:
                 idx_c = np.minimum(idx, seg.n - 1)
                 hit = seg.doc_ids[idx_c] == cand
                 acc[hit] += w_idf * seg.tfn[idx_c[hit]]
-        if cand.size <= k:
-            order = np.lexsort((cand, -acc))
-        else:
-            kth = np.partition(acc, cand.size - k)[cand.size - k]
-            sel = np.flatnonzero(acc >= kth)
-            order = sel[np.lexsort((cand[sel], -acc[sel]))]
-        return [(int(cand[i]), float(acc[i])) for i in order[:k]]
+        return _select_topk(cand, acc, k, self._dead_arr)
 
     def _score_wand(self, loaded, k: int) -> list[tuple[int, float]]:
         """Block-max WAND (document-at-a-time with pivoting and block skips).

@@ -1,82 +1,28 @@
-"""Distributed query serving: per-shard-group index-server actors (SURVEY J4).
+"""Distributed query serving: doc-partitioned index-server actors (SURVEY J4).
 
 The reference's query path fans out per-variant searches to Meilisearch
-(search_executor.py:55-176). Our scale path: long-lived `@ray.remote` actors,
-each owning a contiguous group of index shards (the one place the Dataset API
-genuinely can't express the semantics — a shared warm posting cache serving
-point lookups). The driver routes each query term to the actor owning
-hash(term) % num_shards, actors score their terms' postings locally
-(idf-independent partial scores), and the driver merges per-actor partial
-score maps and finishes top-k selection.
+(search_executor.py:55-176). Our scale path: long-lived `@ray.remote`
+actors, each owning a group of SALT partitions (salt = doc_id % num_salts,
+so a salt group holds every term's postings for its docs), each with a
+warm posting cache — the one place the Dataset API can't express the
+semantics. Per query the driver sums each actor's local dfs into global
+idfs, every actor scores its own docs with those idfs and returns only its
+local top-k, and the driver merges num_servers x k rows by
+(-score, doc_id): per-query network is O(k), not O(postings).
 
-Merging is EXACT, not approximate: a doc's postings for one term live in one
-shard, so per-(term, doc) contributions come from exactly one actor; the
-driver sums contributions per doc in sorted-term order (same float64 order as
-the local engine and the oracle => identical scores).
-
-Equality with the local SearchEngine is asserted in tests.
+Merging is EXACT, not approximate: doc partitions are disjoint, so every
+doc's full score is computed in exactly one actor, summed in sorted-term
+order (same float64 order as the local engine and the oracle => identical
+scores). Equality with the local SearchEngine is asserted in tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
 import ray
 
 from ..kernel.bm25 import idf as _idf
-
-
-@ray.remote
-class ShardServer:
-    """Owns shards [lo, hi); serves (df, doc_ids, tfn) per term with a warm cache.
-
-    Ownership is ENFORCED: a term whose hash-shard falls outside [lo, hi) is
-    rejected (misrouting is a driver bug — silently serving it would also let
-    per-actor memory grow to the whole index instead of the owned range)."""
-
-    def __init__(self, index_dir: str, shard_lo: int, shard_hi: int):
-        from .search import SearchEngine
-        from ..functions.hashing import fnv1a64
-
-        # cache cap >= owned range: warming [lo, hi) must never evict the
-        # shards it just loaded
-        self.engine = SearchEngine(
-            index_dir, shard_cache_cap=max(64, shard_hi - shard_lo)
-        )
-        self.lo, self.hi = shard_lo, shard_hi
-        self._hash = fnv1a64
-
-    def term_postings(self, terms: list[str]) -> dict:
-        """-> {term: (df, doc_ids int64 list-free ndarray, tfn ndarray)}"""
-        out = {}
-        ns = self.engine.num_shards
-        for t in terms:
-            shard = self._hash(t) % ns
-            if not (self.lo <= shard < self.hi):
-                raise ValueError(
-                    f"term {t!r} routes to shard {shard}, outside this "
-                    f"server's owned range [{self.lo}, {self.hi})"
-                )
-            segs = self.engine.segments(t)
-            if not segs:
-                continue
-            ids = np.concatenate([s.doc_ids for s in segs])
-            tfn = np.concatenate([s.tfn for s in segs])
-            out[t] = (int(sum(s.n for s in segs)), ids, tfn)
-        return out
-
-    def warm(self) -> int:
-        """Preload ONLY the owned shard range (per-actor memory stays
-        proportional to ownership, not to the whole index)."""
-        total = 0
-        for shard in range(self.lo, self.hi):
-            total += len(self.engine._load_shard(shard))
-        return total
-
-    def ping(self) -> bool:
-        return True
 
 
 @ray.remote
@@ -85,8 +31,7 @@ class DocPartitionServer:
     salt group is a complete doc partition: every term's postings for those
     docs live in this actor). Scores its docs locally with driver-supplied
     global idfs and returns ONLY its local top-k — per-query network is
-    O(k), not O(postings), unlike term-routed serving which ships whole
-    posting arrays to the driver."""
+    O(k), not O(postings)."""
 
     def __init__(self, index_dir: str, salts: list[int]):
         from .search import SearchEngine
@@ -292,88 +237,4 @@ class DocPartitionedSearchService:
             for s in rs:
                 ray.kill(s)
         self.replica_sets = []
-        self.servers = []
-
-
-class ShardedSearchService:
-    """Driver-side facade: spawn actors, route terms, merge exactly."""
-
-    def __init__(self, index_dir: str, num_servers: int = 4):
-        import json
-        import os
-
-        with open(os.path.join(index_dir, "meta.json")) as f:
-            self.meta = json.load(f)
-        self.num_shards = self.meta["num_shards"]
-        self.n_docs = self.meta["n_docs"]
-        num_servers = max(1, min(num_servers, self.num_shards))
-        self.bounds = np.linspace(0, self.num_shards, num_servers + 1).astype(int)
-        self.servers = [
-            ShardServer.remote(index_dir, int(lo), int(hi))
-            for lo, hi in zip(self.bounds[:-1], self.bounds[1:])
-        ]
-        ray.get([s.ping.remote() for s in self.servers])
-        from ..functions.hashing import fnv1a64
-
-        self._hash = fnv1a64
-        from ..index.maintenance import load_tombstones
-
-        self._dead = load_tombstones(index_dir)
-
-    def warm(self) -> int:
-        """Warm every server's owned shard range in parallel."""
-        return sum(ray.get([s.warm.remote() for s in self.servers]))
-
-    def _server_for(self, term: str) -> int:
-        shard = self._hash(term) % self.num_shards
-        return int(np.searchsorted(self.bounds, shard, side="right") - 1)
-
-    def score_topk(self, terms: list[str], k: int = 10) -> list[tuple[int, float]]:
-        weights = Counter(terms)
-        ordered = sorted(weights)
-        if not ordered:
-            return []
-        by_server: dict[int, list[str]] = {}
-        for t in ordered:
-            by_server.setdefault(self._server_for(t), []).append(t)
-        futures = {
-            sid: self.servers[sid].term_postings.remote(ts)
-            for sid, ts in by_server.items()
-        }
-        postings: dict[str, tuple] = {}
-        for sid, fut in futures.items():
-            postings.update(ray.get(fut))
-        id_chunks, contrib_chunks = [], []
-        for term in ordered:  # sorted-term order => float-identical sums
-            hit = postings.get(term)
-            if hit is None:
-                continue
-            df, ids, tfn = hit
-            id_chunks.append(ids)
-            # same expression shape as SearchEngine._score_exhaustive =>
-            # bit-identical contributions
-            contrib_chunks.append(float(weights[term]) * (_idf(self.n_docs, df) * tfn))
-        if not id_chunks:
-            return []
-        all_ids = np.concatenate(id_chunks)
-        all_contrib = np.concatenate(contrib_chunks)
-        uniq, inv = np.unique(all_ids, return_inverse=True)
-        acc = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(acc, inv, all_contrib)
-        if self._dead:
-            alive = ~np.isin(uniq, np.fromiter(self._dead, dtype=np.uint64))
-            uniq, acc = uniq[alive], acc[alive]
-        if uniq.size == 0:
-            return []
-        if uniq.size <= k:
-            order = np.lexsort((uniq, -acc))
-        else:
-            kth = np.partition(acc, uniq.size - k)[uniq.size - k]
-            sel = np.flatnonzero(acc >= kth)
-            order = sel[np.lexsort((uniq[sel], -acc[sel]))]
-        return [(int(uniq[i]), float(acc[i])) for i in order[:k]]
-
-    def shutdown(self) -> None:
-        for s in self.servers:
-            ray.kill(s)
         self.servers = []

@@ -974,6 +974,8 @@ class SearchProxy:
             # prefetch texts for the head of the ranking in one filtered read
             self._doc_texts([c[0]["doc_id"] for c in ranked[: 5 * target]])
         for hit, score, variant, pos in ranked:
+            if len(out) >= target:
+                break
             if score < min_score:
                 continue
             if allowed is not None and hit["doc_id"] not in allowed:
@@ -1023,8 +1025,6 @@ class SearchProxy:
                     "dedup_count": len(candidates) - n_unique,
                 }
             )
-            if len(out) >= target:
-                break
         if sort_crit:
             out = self._apply_sort(out, sort_crit)[offset:offset + k]
         elif rules_rank:

@@ -2,7 +2,7 @@
 
 Usage (local sandbox):
     python scripts/build_job.py --pages /tmp/pages --out /tmp/index \
-        --num-shards 32 --num-salts 2 --mode fused
+        --num-shards 32 --num-salts 2
 
 On a real cluster:
     ray job submit --working-dir . -- python scripts/build_job.py \
@@ -28,8 +28,6 @@ def main() -> int:
     ap.add_argument("--num-shards", type=int, default=32)
     ap.add_argument("--num-salts", type=int, default=2)
     ap.add_argument("--batch-size", type=int, default=256)
-    ap.add_argument("--mode", choices=["phased", "fused"], default="phased",
-                    help="phased = finest resume granularity; fused = throughput")
     ap.add_argument("--shuffle", choices=["auto", "sort", "spill"],
                     default="auto",
                     help="posting exchange: auto = measured crossover "
@@ -60,19 +58,11 @@ def main() -> int:
     cfg = EngineConfig(num_shards=args.num_shards,
                        store_positions=args.store_positions)
     t0 = time.perf_counter()
-    if args.mode == "fused":
-        meta = b.build_index_fused(args.pages, args.out, cfg,
-                                   num_salts=args.num_salts,
-                                   batch_size=args.batch_size)
-    else:
-        docs_dir = b.build_docs(args.pages, args.out, cfg, batch_size=args.batch_size)
-        meta = b.compute_stats(docs_dir, args.out, cfg)
-        b.build_shards(docs_dir, args.out, cfg, meta, num_salts=args.num_salts,
-                       shuffle=args.shuffle)
-        b.build_term_dict(args.out)
+    meta = b.build_index(args.pages, args.out, cfg, num_salts=args.num_salts,
+                         batch_size=args.batch_size, shuffle=args.shuffle)
     wall = time.perf_counter() - t0
     print(json.dumps({
-        "out": args.out, "mode": args.mode, "wall_s": round(wall, 2),
+        "out": args.out, "wall_s": round(wall, 2),
         "n_docs": meta["n_docs"], "avgdl": round(meta["avgdl"], 3),
         "docs_per_sec": round(meta["n_docs"] / wall, 1) if wall else None,
         "dictionary_hash": meta["dictionary_hash"],

@@ -5,6 +5,7 @@ text vs the oracle kernel; (3) rank-identity of distributed BM25 top-k vs the
 single-node oracle; (4) kill/resume -> byte-identical shards."""
 
 import hashlib
+import json
 import os
 import shutil
 
@@ -82,6 +83,14 @@ def test_stats_match_oracle(built, oracle):
     _, out, meta = built
     assert meta["n_docs"] == oracle.n_docs
     assert meta["avgdl"] == pytest.approx(oracle.avgdl, abs=1e-12)
+    # every phase build_index ran records its wall time in its done-file
+    mdir = os.path.join(out, "_manifest")
+    done = sorted(f for f in os.listdir(mdir) if f.endswith(".done"))
+    assert done == ["dict.done", "docs.done", "shards.done", "stats.done"]
+    for f in done:
+        with open(os.path.join(mdir, f)) as fh:
+            wall = json.load(fh)["wall_s"]
+        assert isinstance(wall, float) and wall >= 0.0, f
 
 
 def test_df_matches_oracle(built, oracle):
@@ -186,25 +195,6 @@ def test_spill_shuffle_byte_identical(built):
         os.path.join(out, "shards")
     )
     assert not os.path.exists(os.path.join(out2, "_spill"))  # transient cleaned
-
-
-def test_fused_build_identical(built):
-    """Single-job fused build == phased build: shard bytes, stats, docs rows."""
-    from meilisearch_thai_ray.index.build import build_index_fused
-
-    pages_dir, out, meta = built
-    out2 = os.path.join(os.path.dirname(pages_dir), "index_fused")
-    shutil.rmtree(out2, ignore_errors=True)
-    m2 = build_index_fused(pages_dir, out2, CFG, num_salts=2, batch_size=64)
-    assert (m2["n_docs"], m2["avgdl"]) == (meta["n_docs"], meta["avgdl"])
-    assert _hash_tree(os.path.join(out2, "shards")) == _hash_tree(
-        os.path.join(out, "shards")
-    )
-    a = pads.dataset(os.path.join(out, "docs")).to_table(
-        columns=["doc_id", "token_count"]).to_pandas().sort_values("doc_id")
-    b = pads.dataset(os.path.join(out2, "docs")).to_table(
-        columns=["doc_id", "token_count"]).to_pandas().sort_values("doc_id")
-    assert a.reset_index(drop=True).equals(b.reset_index(drop=True))
 
 
 def test_matching_strategy_all(built, oracle, tok):
@@ -373,28 +363,6 @@ def test_dead_letter_failed_docs(ray_session, tmp_path):
     assert eng.search("wakame")  # good docs still searchable
     # the failed docs contributed no postings
     assert all(not eng.segments(t) for t in ["none"])
-
-
-def test_fused_build_dead_letter_parity(ray_session, tmp_path):
-    """Fused build excludes failed docs from N exactly like the phased build."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from meilisearch_thai_ray.index.build import build_index_fused
-
-    pages_dir = tmp_path / "pages"
-    pages_dir.mkdir()
-    pq.write_table(
-        pa.table({
-            "url": pa.array(["https://a/1", "https://a/2"], pa.string()),
-            "html": pa.array([b"<p>hello fused world</p>", None], pa.binary()),
-            "lang": pa.array(["en", "en"], pa.string()),
-        }),
-        str(pages_dir / "p.parquet"),
-    )
-    meta = build_index_fused(str(pages_dir), str(tmp_path / "idx"), CFG,
-                            num_salts=1, batch_size=64)
-    assert meta["n_docs"] == 1
 
 
 def test_resume_layout_mismatch_discards_partials(built, tmp_path):
@@ -630,24 +598,6 @@ def test_layout_guard_covers_store_positions(built, tmp_path):
                     EngineConfig(num_shards=CFG.num_shards, store_positions=True),
                     num_salts=2, batch_size=64)
 
-
-def test_fused_resume_heals_missing_term_dict(ray_session, tmp_path):
-    """A fused build that crashed after shards completed still gets its term
-    dictionary on the next call (build_term_dict runs before the early
-    return)."""
-    import shutil
-
-    from meilisearch_thai_ray.index.build import build_index_fused
-
-    pages = str(tmp_path / "pages")
-    write_pages_parquet(pages, 60, rows_per_file=30)
-    out = str(tmp_path / "idx")
-    build_index_fused(pages, out, CFG, num_salts=1, batch_size=64)
-    shutil.rmtree(os.path.join(out, "termdict"))
-    os.remove(os.path.join(out, "_manifest", "dict.done"))
-    build_index_fused(pages, out, CFG, num_salts=1, batch_size=64)  # resume path
-    assert os.path.isdir(os.path.join(out, "termdict"))
-    assert os.path.exists(os.path.join(out, "_manifest", "dict.done"))
 
 def test_maxscore_identical_to_exhaustive(built):
     """Vectorized MaxScore returns EXACTLY the exhaustive top-k (ids and

@@ -99,6 +99,46 @@ def test_segment_roundtrip_property(postings):
     assert np.array_equal(out[2], dls)
 
 
+
+@st.composite
+def _topk_case(draw):
+    """(ids, scores, k, tombstones) with heavy ties: scores come from a pool
+    of at most 4 values, and extra entries are forced to the k-th best
+    surviving score so the cut-off always falls inside a tie group."""
+    n = draw(st.integers(0, 60))
+    ids = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=n,
+                        max_size=n, unique=True))
+    pool = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
+                         max_size=4))
+    acc = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    k = draw(st.integers(0, n + 3))
+    dead = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    dead += draw(st.lists(st.integers(0, (1 << 64) - 1), max_size=3))
+    alive = sorted((a for d, a in zip(ids, acc) if d not in dead),
+                   reverse=True)
+    if 0 < k <= len(alive):
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            acc[i] = alive[k - 1]
+    return ids, acc, k, dead
+
+
+@settings(max_examples=300, deadline=None)
+@given(_topk_case(), st.booleans())
+def test_select_topk_exact_under_ties(case, pass_dead):
+    """_select_topk == a full (-score, doc_id) sort of the live rows, cut at
+    k, for every k from 0 to past n and ties at the cut-off."""
+    from meilisearch_thai_ray.index.search import _select_topk
+
+    ids, acc, k, dead = case
+    if not pass_dead:
+        dead = []
+    got = _select_topk(np.array(ids, dtype=np.uint64),
+                       np.array(acc, dtype=np.float64), k,
+                       np.array(dead, dtype=np.uint64) if dead else None)
+    live = [(d, a) for d, a in zip(ids, acc) if d not in set(dead)]
+    assert got == sorted(live, key=lambda x: (-x[1], x[0]))[:k]
+
+
 # ---------------------- sketch kernels (pure, no Ray) ----------------------
 
 @settings(max_examples=200, deadline=None)
