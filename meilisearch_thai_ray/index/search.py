@@ -55,6 +55,70 @@ def _select_topk(ids: np.ndarray, acc: np.ndarray, k: int,
     return [(int(ids[i]), float(acc[i])) for i in order]
 
 
+def match_topk(engine, words: list[list[str]], k: int, strategy: str,
+               backfill: bool = False) -> list[tuple[int, float]]:
+    """Meilisearch matching strategies (search_executor.py:731-753) over
+    BM25. `words` holds one group per query word: the word, then the typo
+    derivations it also matches (a doc matches the word through any of
+    them).
+
+    "any" — plain OR over every term; "all" — every word required;
+    "last" (Meilisearch default) — require every word, then drop words
+    from the END until something matches; "frequency" (v1.5+) — drop the
+    word matching the MOST live docs first (the least informative one). A
+    word matching no live doc can never satisfy the conjunction, so it
+    drops first; ties drop the later position. Hits are OR BM25 over the
+    surviving words' terms, restricted to their conjunction.
+
+    backfill=False stops at the first non-empty conjunction (the repo's
+    long-standing approximation, pinned by the oracle surface).
+    backfill=True reproduces Meilisearch's full relaxation: keep dropping
+    words and ACCUMULATE lower buckets until k hits — docs matching more
+    words always rank above docs matching fewer (the "words" ranking
+    rule), ties within a bucket by BM25.
+
+    A module function, not an engine method, so every call it makes goes
+    through the engine object it is given (a wrapper sees each one)."""
+    if strategy == "any":
+        return engine.score_topk([t for g in words for t in g], k=k)
+    single = all(len(g) == 1 for g in words)
+    docs: dict[int, np.ndarray] = {}  # per-word live doc ids, on demand
+
+    def word_docs(i: int) -> np.ndarray:
+        if i not in docs:
+            docs[i] = engine.word_docs(words[i])
+        return docs[i]
+
+    def conjunction(live: list[int], n: int) -> list[tuple[int, float]]:
+        if single:  # the conjunction IS match="all" over the words
+            return engine.score_topk([words[i][0] for i in live], k=n,
+                                     match="all")
+        conj = word_docs(live[0])
+        for i in live[1:]:
+            conj = np.intersect1d(conj, word_docs(i), assume_unique=True)
+        if not conj.size:
+            return []
+        # two words sharing a typo derivation must not double-weight it
+        terms = list(dict.fromkeys(t for i in live for t in words[i]))
+        return engine.score_docs_topk(terms, conj, n)
+
+    live = list(range(len(words)))
+    out: list[tuple[int, float]] = []
+    while live and len(out) < k:
+        taken = {d for d, _ in out}
+        out += [h for h in conjunction(live, k + len(out))
+                if h[0] not in taken]
+        if strategy == "all" or (out and not backfill):
+            break
+        if strategy == "frequency":
+            sizes = [word_docs(i).size for i in live]
+            live.pop(max(range(len(live)),
+                         key=lambda j: (sizes[j] == 0, sizes[j], j)))
+        else:
+            live.pop()
+    return out[:k]
+
+
 def _min_window_cost(plists: list[np.ndarray]) -> int:
     """Minimal token window covering one position from EVERY list, minus
     the list count (0 = an adjacent packing exists): sorted merge of
@@ -450,55 +514,33 @@ class SearchEngine:
     def search_matching(self, query: str, k: int = 10,
                         strategy: str = "last",
                         backfill: bool = False) -> list[tuple[int, float]]:
-        """Meilisearch matching strategies over our BM25:
-        "all" — every term required; "any" — plain OR;
-        "last" (Meilisearch default) — require all terms, then progressively
-        drop terms from the END of the query until something matches;
-        "frequency" (Meilisearch v1.5+) — require all terms, then drop the
-        term with the HIGHEST document frequency first (the least
-        informative word). Terms absent from the corpus can never satisfy
-        the conjunction at any frequency, so they drop first; df ties drop
-        the later query position.
+        """Meilisearch matching strategies (see match_topk) over the query's
+        terms, each term one word."""
+        return match_topk(self, [[t] for t in self.query_terms(query)], k,
+                          strategy, backfill)
 
-        backfill=False (default) stops at the first non-empty conjunction
-        (the repo's long-standing approximation, pinned by the oracle
-        surface). backfill=True reproduces Meilisearch's full relaxation:
-        keep dropping words and ACCUMULATE lower buckets until k hits —
-        docs matching more words always rank above docs matching fewer
-        (the "words" ranking rule), ties within a bucket by BM25."""
-        terms = self.query_terms(query)
-        if strategy == "any":
-            return self.score_topk(terms, k=k)
-        if strategy == "all":
-            return self.score_topk(terms, k=k, match="all")
+    def word_docs(self, terms: list[str]) -> np.ndarray:
+        """Sorted live doc ids holding any of `terms` (one query word and
+        the typo derivations it also matches)."""
+        ids = np.unique(np.concatenate(
+            [s.doc_ids for t in terms for s in self.segments(t)]
+            or [np.empty(0, np.uint64)]))
+        if self._dead_arr is not None:
+            ids = ids[~np.isin(ids, self._dead_arr)]
+        return ids
 
-        def next_terms(ts: list[str]) -> list[str]:
-            if strategy == "frequency":
-                dfs = [self.df(t) for t in ts]
-                drop = max(range(len(ts)),
-                           key=lambda i: (dfs[i] == 0, dfs[i], i))
-                return ts[:drop] + ts[drop + 1:]
-            return ts[:-1]
-
-        if not backfill:
-            while terms:
-                hits = self.score_topk(terms, k=k, match="all")
-                if hits:
-                    return hits
-                terms = next_terms(terms)
-            return []
-        out: list[tuple[int, float]] = []
-        taken: set[int] = set()
-        while terms and len(out) < k:
-            for d, s in self.score_topk(terms, k=k + len(taken),
-                                        match="all"):
-                if d not in taken:
-                    taken.add(d)
-                    out.append((d, s))
-                    if len(out) >= k:
-                        break
-            terms = next_terms(terms)
-        return out[:k]
+    def score_docs_topk(self, terms: list[str], doc_ids, k: int
+                        ) -> list[tuple[int, float]]:
+        """OR-BM25 top-k of `terms` (duplicates = weights) restricted to
+        `doc_ids`, tombstones dropped. Same per-doc sorted-term
+        accumulation as _score_exhaustive, so each doc's score equals its
+        score_topk score."""
+        weights = Counter(terms)
+        weighted = [(t, weights[t], _idf(self.n_docs, df))
+                    for t in sorted(weights) if (df := self.df(t))]
+        ids = np.unique(np.asarray(doc_ids, np.uint64))
+        return _select_topk(ids, self._score_docs(weighted, ids), k,
+                            self._dead_arr)
 
     def _score_exhaustive(self, loaded, k: int, *,
                           require_all_terms: int | None = None
@@ -703,20 +745,7 @@ class SearchEngine:
             return []
         if len(seq) == 1:
             return self.score_topk(seq, k=k, match="all")
-        matched = self.phrase_match_docs(seq)
-        if not matched:
-            return []
-        # k covers every AND-matching doc (matched is a subset of them), so
-        # this returns the full match="all" score map — same set the
-        # original candidate-sized call produced
-        scores = dict(
-            self.score_topk(seq, k=1 << 62, match="all")
-        )
-        hits = sorted(
-            ((d, scores[d]) for d in matched if d in scores),
-            key=lambda x: (-x[1], x[0]),
-        )
-        return hits[:k]
+        return self.score_docs_topk(seq, self.phrase_match_docs(seq), k)
 
     def phrase_seq(self, phrase: str) -> list[str]:
         """The phrase's primary term per token position (compound sub-terms
@@ -838,9 +867,14 @@ class SearchEngine:
         accumulation follows _score_exhaustive's exact chunk order
         (sorted terms outer, salt segments inner, contribution
         w * (idf * tfn)), so scores are bit-identical to the top-k paths."""
-        if not doc_ids:
-            return {}
-        ids = np.asarray(sorted(doc_ids), np.int64)
+        ids = np.asarray(sorted(doc_ids), np.uint64)
+        return dict(zip(ids.tolist(),
+                        self._score_docs(weighted_terms, ids).tolist()))
+
+    def _score_docs(self, weighted_terms, ids: np.ndarray) -> np.ndarray:
+        """Per-doc BM25 sums for sorted uint64 `ids` (an int64 array would
+        search the uint64 postings as float64 and miss ids that round to
+        a neighbour)."""
         acc = np.zeros(ids.size, np.float64)
         for term, w, idf_t in weighted_terms:
             for seg in self.segments(term):
@@ -850,7 +884,7 @@ class SearchEngine:
                 if hit.any():
                     acc[hit] += float(w) * (float(idf_t)
                                             * seg.tfn[pos_c[hit]])
-        return {int(d): float(s) for d, s in zip(ids, acc)}
+        return acc
 
     def proximity_topk(self, terms: list[str], k: int = 10,
                        pool: int | None = None
@@ -1068,15 +1102,6 @@ class SearchEngine:
             if term.startswith(prefix)
         ]
 
-    def search_prefix(self, query: str, k: int = 10, expansions: int = 5):
-        """Search where the final token also matches as a prefix."""
-        terms = self.query_terms(query)
-        if terms:
-            extra = [t for t in self.expand_prefix(terms[-1], expansions)
-                     if t not in terms]
-            terms = terms + extra
-        return self.score_topk(terms, k=k)
-
     # ------------- typo tolerance -------------
 
     def _typo_vocabulary(self):
@@ -1226,19 +1251,6 @@ class SearchEngine:
                 scored.append((ty, -int(df), t))
         scored.sort()
         return [t for _, _, t in scored[:limit]]
-
-    def search_typo(self, query: str, k: int = 10, expansions: int = 3,
-                    mode: str = "exhaustive"):
-        """Search where every query word also matches its typo variants
-        (Meilisearch typo tolerance). Expansions join the OR term set the
-        same way prefix expansion does; documents matching the exact term
-        still rank first because they score the original term too."""
-        terms = self.query_terms(query)
-        extra: list[str] = []
-        for t in terms:
-            extra.extend(x for x in self.expand_typo(t, expansions)
-                         if x not in terms and x not in extra)
-        return self.score_topk(terms + extra, k=k, mode=mode)
 
     # ------------- public search -------------
 

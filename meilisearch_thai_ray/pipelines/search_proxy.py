@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..config import EngineConfig
+from ..index.search import match_topk
 from ..kernel.charclass import is_thai_text
 
 ORIGINAL = "original"
@@ -460,6 +461,20 @@ class SearchProxy:
                     out.append(alt)
         return out
 
+    def _typo_derivations(self, terms: list[str],
+                          options: SearchOptions | None
+                          ) -> dict[str, list[str]]:
+        """Each distinct word's typo derivations (expand_typo, 3 per word)
+        under the request's typoTolerance settings: minWordSizeForTypos
+        thresholds, none for disableOnWords."""
+        ts = (options.typo_settings or {}) if options else {}
+        mws = ts.get("minWordSizeForTypos") or {}
+        disabled = set(ts.get("disableOnWords") or ())
+        return {t: [] if t in disabled else self.engine.expand_typo(
+                    t, 3, one_typo=mws.get("oneTypo"),
+                    two_typos=mws.get("twoTypos"))
+                for t in dict.fromkeys(terms)}
+
     @property
     def tokenizer(self):
         if self._watcher is not None:
@@ -755,7 +770,7 @@ class SearchProxy:
         # original -> "all", tokenized/compound_split -> "last",
         # fallback/mixed -> most flexible ("any"); a per-request
         # matching_strategy ("all"|"last"|"any"|"frequency") overrides all
-        # variants — "frequency" gets true Meilisearch v1.5 semantics below
+        # variants. index.search.match_topk runs the strategy.
         strategies = {ORIGINAL: "all", TOKENIZED: "last", COMPOUND_SPLIT: "last"}
         if options and options.matching_strategy:
             strategies = {v.variant_type: options.matching_strategy
@@ -765,103 +780,26 @@ class SearchProxy:
         for variant in variants:
             terms = self.expand_synonyms(variant.terms)
             strat = strategies.get(variant.variant_type, "any")
-            if strat == "all":
-                hits = self.engine.score_topk(terms, k=MAX_RESULTS_PER_VARIANT,
-                                              match="all")
-            elif strat == "last":
-                tt = list(terms)
-                hits = []
-                while tt:
-                    hits = self.engine.score_topk(tt, k=MAX_RESULTS_PER_VARIANT,
-                                                  match="all")
-                    if hits:
-                        break
-                    tt = tt[:-1]
-            elif strat == "frequency":
-                # Meilisearch matchingStrategy="frequency" (v1.5+): every
-                # word is required — matching through its typo derivations
-                # when typo matching applies — and when the conjunction is
-                # empty the word with the HIGHEST document frequency drops
-                # first (the least informative one), unlike "last"'s
-                # positional drop. A word whose derivation group matches no
-                # document can never satisfy the conjunction at any
-                # frequency, so it drops first; df ties drop the later
-                # position. Scoring is OR BM25 over the surviving words'
-                # groups restricted to the conjunction set (cost bounded by
-                # the groups' postings, same class as the phrase path).
-                use_typo = (options.typo_tolerance if options is not None
-                            and options.typo_tolerance is not None
-                            else variant.variant_type == FALLBACK)
-                expand = getattr(self.engine, "expand_typo", None)
-                ts = (options.typo_settings or {}) if options else {}
-                mws = ts.get("minWordSizeForTypos") or {}
-                disabled = set(ts.get("disableOnWords") or ())
-                groups: dict[str, list[str]] = {}
-                for t in terms:
-                    g = [t]
-                    if use_typo and expand is not None and t not in disabled:
-                        g += [x for x in expand(t, 3,
-                                                one_typo=mws.get("oneTypo"),
-                                                two_typos=mws.get("twoTypos"))
-                              if x not in g]
-                    groups.setdefault(t, g)
-                order = list(dict.fromkeys(terms))
-                hits = []
-                # Fast path: with no typo expansions every group is its own
-                # word, so the conjunction IS match="all" over the words —
-                # identical result set and OR-BM25 scores, without
-                # materializing each word's full postings as a Python set.
-                # The per-word doc sets are only needed to pick which word
-                # to drop, i.e. only when the conjunction comes back empty.
-                if all(len(groups[t]) == 1 for t in order):
-                    hits = self.engine.score_topk(
-                        order, k=MAX_RESULTS_PER_VARIANT, match="all")
-                if not hits:
-                    word_docs = {
-                        t: {d for d, _ in self.engine.score_topk(g, k=1 << 62)}
-                        for t, g in groups.items()}
-                while not hits and order:
-                    allowed = set(word_docs[order[0]])
-                    for t in order[1:]:
-                        allowed &= word_docs[t]
-                    if allowed:
-                        # dedupe: two words sharing a typo derivation must
-                        # not double-weight it in score_topk's Counter
-                        flat = list(dict.fromkeys(
-                            x for t in order for x in groups[t]))
-                        hits = [(d, s) for d, s in
-                                self.engine.score_topk(flat, k=1 << 62)
-                                if d in allowed][:MAX_RESULTS_PER_VARIANT]
-                        break
-                    # Meilisearch ranks removal by the word's RESOLVED match
-                    # set (typo derivations included), not raw-term df —
-                    # len(word_docs) is that set's size and is already built
-                    drop = max(range(len(order)),
-                               key=lambda i: (not word_docs[order[i]],
-                                              len(word_docs[order[i]]), i))
-                    order.pop(drop)
+            # typo matching loosens "any" and "frequency" only (requiring a
+            # typo'd variant would tighten an AND strategy). Default scope
+            # mirrors the reference: fallback variants only
+            # (query_processor.py:671,693); typo_tolerance=True widens it
+            # to every variant (Meilisearch's default-on index setting).
+            use_typo = strat in ("any", "frequency") and (
+                options.typo_tolerance if options is not None
+                and options.typo_tolerance is not None
+                else variant.variant_type == FALLBACK)
+            der = self._typo_derivations(terms, options) if use_typo else {}
+            if strat == "frequency":
+                # every word required, matching through its derivations
+                words = [[t] + der.get(t, []) for t in dict.fromkeys(terms)]
             else:
-                # typo matching joins expansions to the OR term set (AND
-                # strategies are exempt: requiring a typo'd variant would
-                # tighten, not loosen, the match). Default scope mirrors the
-                # reference: fallback variants only (query_processor.py:
-                # 671,693); typo_tolerance=True widens it to every variant
-                # (Meilisearch's default-on index setting).
-                use_typo = (options.typo_tolerance if options is not None
-                            and options.typo_tolerance is not None
-                            else variant.variant_type == FALLBACK)
-                expand = getattr(self.engine, "expand_typo", None)
-                if use_typo and expand is not None:
-                    ts = (options.typo_settings or {}) if options else {}
-                    mws = ts.get("minWordSizeForTypos") or {}
-                    disabled = set(ts.get("disableOnWords") or ())
-                    extra = [x for t in terms if t not in disabled
-                             for x in expand(t, 3,
-                                             one_typo=mws.get("oneTypo"),
-                                             two_typos=mws.get("twoTypos"))
-                             if x not in terms]
-                    terms = list(terms) + list(dict.fromkeys(extra))
-                hits = self.engine.score_topk(terms, k=MAX_RESULTS_PER_VARIANT)
+                # "any": derivations join the OR term set, each once
+                terms = list(terms) + list(dict.fromkeys(
+                    x for ds in der.values() for x in ds if x not in terms))
+                words = [[t] for t in terms]
+            hits = match_topk(self.engine, words, MAX_RESULTS_PER_VARIANT,
+                              strat)
             if not hits:
                 continue
             # exact-match boost needs doc text (result_ranker.py:346-349):

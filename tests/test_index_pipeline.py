@@ -175,7 +175,8 @@ def test_prefix_expansion(built):
     assert eng.expand_prefix("zzzz") == []
     # with k >= corpus, prefix search covers every exact-term result
     base = {d for d, _ in eng.score_topk(eng.query_terms("อาหาร"), 1000)}
-    pref = {d for d, _ in eng.search_prefix("อาหาร", 1000)}
+    pref = {d for d, _ in eng.score_topk_prefix(eng.query_terms("อาหาร"),
+                                                1000)}
     assert base <= pref
 
 
@@ -303,6 +304,60 @@ def test_matching_strategy_last(built):
     assert hits_all == []
     assert hits_last and hits_last == eng.score_topk(["อาหาร"], 10, match="all")
     assert eng.search_matching("qqqq zzzz", strategy="last") == []
+
+
+def test_matching_strategy_frequency_ranks_words_by_live_docs(built,
+                                                              tmp_path):
+    """'frequency' ranks words by the docs they still match: a word whose
+    every doc is tombstoned drops first, even when its raw df is the
+    lower one (raw df counts deleted postings)."""
+    from meilisearch_thai_ray.index.maintenance import delete_docs
+
+    _, out, _ = built
+    eng = SearchEngine(out)
+    terms, dfs, _, _ = eng._typo_vocabulary()
+    vocab = sorted(zip(terms.tolist(), dfs.tolist()), key=lambda x: -x[1])
+    found = None
+    for hi, dh in vocab[:40]:
+        for lo, dl in vocab[-200:]:
+            if 0 < dl < dh and eng.query_terms(f"{lo} {hi}") == [lo, hi] \
+                    and not eng.score_topk([hi, lo], 10, match="all"):
+                found = (hi, lo)
+                break
+        if found:
+            break
+    assert found, "no disjoint df-ordered term pair in fixture corpus"
+    hi, lo = found
+    copy = str(tmp_path / "index")
+    shutil.copytree(out, copy)
+    delete_docs(copy, [d for d, _ in eng.score_topk([lo], 1 << 20)])
+    dead = SearchEngine(copy)
+    assert dead.df(lo) < dead.df(hi) and not dead.score_topk([lo], 10)
+    want = dead.score_topk([hi], 10, match="all")
+    assert want and want == eng.score_topk([hi], 10, match="all")
+    assert dead.search_matching(f"{lo} {hi}", strategy="frequency") == want
+
+
+def test_score_docs_given_idf_planted_neighbour(built):
+    """Scoring given docs finds a posting whose id rounds, as a float64,
+    to the same value as a lower posting beside it (ids are uint64)."""
+    import numpy as np
+
+    from meilisearch_thai_ray.index.search import _Segment
+
+    _, out, _ = built
+    eng = SearchEngine(out)
+    a = 1 << 57  # float64 spacing here is 32: a and a + 2 round alike
+    ids = np.array([a, a + 2], np.uint64)
+    seg = _Segment(ids, np.array([0.5, 1.0]), np.array([a + 2], np.int64),
+                   np.array([1.0]))
+    eng._seg_cache["zzplanted"] = [seg]
+    want = eng._score_exhaustive([("zzplanted", 1.0, 2.0, [seg])], 10)
+    assert want == [(a + 2, 2.0), (a, 1.0)]
+    got = eng.score_docs_given_idf([("zzplanted", 1.0, 2.0)], [a, a + 2])
+    assert sorted(got.items(), key=lambda x: (-x[1], x[0])) == want
+    assert eng.score_docs_topk(["zzplanted"], ids, 10) == \
+        eng.score_topk(["zzplanted"], 10)
 
 
 def test_tokenize_api_shape(tok):

@@ -907,3 +907,194 @@ def test_cluster_matches_brute_force_pages_index(monkeypatch, cap,
         monkeypatch, eng, docs_path, queries, neg="machine", cap=cap)
     assert dups > 0
     assert (capped > 0) == (cap is not None)
+
+
+# ---- one matching-strategy implementation (index.search.match_topk) ----
+
+
+def _inline_strategy_hits(self, variants, options):
+    """The per-variant retrieval SearchProxy.search ran inline before it
+    called index.search.match_topk, kept verbatim (`self` is the proxy):
+    the reference the shared implementation must reproduce.
+    -> one hit list per variant."""
+    from meilisearch_thai_ray.pipelines.search_proxy import (
+        FALLBACK, MAX_RESULTS_PER_VARIANT)
+
+    strategies = {ORIGINAL: "all", TOKENIZED: "last", COMPOUND_SPLIT: "last"}
+    if options and options.matching_strategy:
+        strategies = {v.variant_type: options.matching_strategy
+                      for v in variants}
+    out = []
+    for variant in variants:
+        terms = self.expand_synonyms(variant.terms)
+        strat = strategies.get(variant.variant_type, "any")
+        if strat == "all":
+            hits = self.engine.score_topk(terms, k=MAX_RESULTS_PER_VARIANT,
+                                          match="all")
+        elif strat == "last":
+            tt = list(terms)
+            hits = []
+            while tt:
+                hits = self.engine.score_topk(tt, k=MAX_RESULTS_PER_VARIANT,
+                                              match="all")
+                if hits:
+                    break
+                tt = tt[:-1]
+        elif strat == "frequency":
+            use_typo = (options.typo_tolerance if options is not None
+                        and options.typo_tolerance is not None
+                        else variant.variant_type == FALLBACK)
+            expand = getattr(self.engine, "expand_typo", None)
+            ts = (options.typo_settings or {}) if options else {}
+            mws = ts.get("minWordSizeForTypos") or {}
+            disabled = set(ts.get("disableOnWords") or ())
+            groups: dict[str, list[str]] = {}
+            for t in terms:
+                g = [t]
+                if use_typo and expand is not None and t not in disabled:
+                    g += [x for x in expand(t, 3,
+                                            one_typo=mws.get("oneTypo"),
+                                            two_typos=mws.get("twoTypos"))
+                          if x not in g]
+                groups.setdefault(t, g)
+            order = list(dict.fromkeys(terms))
+            hits = []
+            if all(len(groups[t]) == 1 for t in order):
+                hits = self.engine.score_topk(
+                    order, k=MAX_RESULTS_PER_VARIANT, match="all")
+            if not hits:
+                word_docs = {
+                    t: {d for d, _ in self.engine.score_topk(g, k=1 << 62)}
+                    for t, g in groups.items()}
+            while not hits and order:
+                allowed = set(word_docs[order[0]])
+                for t in order[1:]:
+                    allowed &= word_docs[t]
+                if allowed:
+                    flat = list(dict.fromkeys(
+                        x for t in order for x in groups[t]))
+                    hits = [(d, s) for d, s in
+                            self.engine.score_topk(flat, k=1 << 62)
+                            if d in allowed][:MAX_RESULTS_PER_VARIANT]
+                    break
+                drop = max(range(len(order)),
+                           key=lambda i: (not word_docs[order[i]],
+                                          len(word_docs[order[i]]), i))
+                order.pop(drop)
+        else:
+            use_typo = (options.typo_tolerance if options is not None
+                        and options.typo_tolerance is not None
+                        else variant.variant_type == FALLBACK)
+            expand = getattr(self.engine, "expand_typo", None)
+            if use_typo and expand is not None:
+                ts = (options.typo_settings or {}) if options else {}
+                mws = ts.get("minWordSizeForTypos") or {}
+                disabled = set(ts.get("disableOnWords") or ())
+                extra = [x for t in terms if t not in disabled
+                         for x in expand(t, 3,
+                                         one_typo=mws.get("oneTypo"),
+                                         two_typos=mws.get("twoTypos"))
+                         if x not in terms]
+                terms = list(terms) + list(dict.fromkeys(extra))
+            hits = self.engine.score_topk(terms, k=MAX_RESULTS_PER_VARIANT)
+        out.append(hits)
+    return out
+
+
+@pytest.fixture(scope="module")
+def strategy_grid(ray_session, tmp_path_factory):
+    """A 300-page index with a typo index, a copy with 45 docs
+    tombstoned, and queries: the fixtures plus mined df-disjoint pairs,
+    triples, misspelled words (alone, with another word, with the word
+    they misspell), repeated words, ghost words and pairs of
+    typo-expanding words whose derivation groups share no doc (the
+    "frequency" relax path). -> (engines, queries, relax queries,
+    synonyms)."""
+    import random
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from meilisearch_thai_ray.fixtures.queries import QUERY_FIXTURES
+    from meilisearch_thai_ray.index.build import build_typo_index
+    from meilisearch_thai_ray.index.maintenance import delete_docs
+
+    root = tmp_path_factory.mktemp("strategy_grid")
+    pages, out, tomb = (str(root / n) for n in ("pages", "index", "tomb"))
+    write_pages_parquet(pages, 300, rows_per_file=100)
+    build_index(pages, out, EngineConfig(num_shards=4), num_salts=2,
+                batch_size=64)
+    build_typo_index(out)
+    shutil.copytree(out, tomb)
+    rng = random.Random(4)
+    ids = pq.read_table(f"{out}/docs", columns=["doc_id"])["doc_id"]
+    delete_docs(tomb, rng.sample(ids.to_pylist(), 45))
+    eng = SearchEngine(out)
+    vocab = eng._typo_vocabulary()[0].tolist()
+    docs = {t: set(eng.word_docs([t]).tolist()) for t in vocab}
+    mid = sorted(t for t in vocab if 2 <= len(docs[t]) <= 60)
+    mined = []
+    while len(mined) < 6:
+        a, b = rng.sample(mid, 2)
+        if not docs[a] & docs[b]:
+            mined.append(f"{a} {b}")
+    mined += [" ".join(rng.sample(mid, 3)) for _ in range(4)]
+    long_words = [t for t in mid if 5 <= len(t) <= 10]
+    for n in range(6):  # the last form shares a derivation between words
+        a = rng.choice(long_words)
+        i = rng.randrange(1, len(a))
+        bad = a[:i] + "q" + a[i + 1:]
+        mined.append((bad, f"{bad} {rng.choice(mid)}", f"{a} {bad}")[n % 3])
+    for _ in range(3):
+        a, b = rng.sample(mid, 2)
+        mined.append(f"{a} {b} {a}")
+    mined += [f"zzqqxxv {rng.choice(mid)}",
+              f"{rng.choice(mid)} qqzzvv {rng.choice(mid)}"]
+    relax = []
+    expanding = [t for t in long_words if eng.expand_typo(t, 3)]
+    for a in expanding:
+        for b in expanding:
+            if len(relax) == 2:
+                break
+            ga = set(eng.word_docs([a] + eng.expand_typo(a, 3)).tolist())
+            gb = set(eng.word_docs([b] + eng.expand_typo(b, 3)).tolist())
+            if a < b and not ga & gb and \
+                    eng.query_terms(f"{a} {b}") == [a, b]:
+                relax.append(f"{a} {b}")
+    assert relax, "need typo-expanding words with disjoint groups"
+    synonyms = {"วากาเมะ": ["สาหร่ายวากาเมะ"]}
+    for _ in range(5):
+        a, b = rng.sample(mid, 2)
+        synonyms[a] = [b]
+    queries = [f["query"] for f in QUERY_FIXTURES] + mined + relax
+    return [eng, SearchEngine(tomb)], queries, relax, synonyms
+
+
+def test_match_topk_equals_inline_strategy_loop(monkeypatch, strategy_grid):
+    """Per variant, the proxy's match_topk call returns exactly the hits
+    (ids and float scores) of the inline strategy loop it replaced, over
+    strategies x typo_tolerance x synonyms x a tombstoned copy."""
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    engines, queries, relax, synonyms = strategy_grid
+    got: list = []
+    real = sp.match_topk
+    monkeypatch.setattr(sp, "match_topk",
+                        lambda *a: got.append(real(*a)) or got[-1])
+    relaxed = 0
+    for eng in engines:
+        for syn in (None, synonyms):
+            proxy = SearchProxy(eng, synonyms=syn)
+            for q in queries:
+                variants = proxy._prepare(q)[3]
+                for strat in (None, "all", "last", "any", "frequency"):
+                    for typo in (None, True, False):
+                        opts = sp.SearchOptions(limit=10, typo_tolerance=typo,
+                                                matching_strategy=strat)
+                        got.clear()
+                        proxy.search(q, options=opts)
+                        want = _inline_strategy_hits(proxy, variants, opts)
+                        assert got == want, (q, strat, typo, syn is None)
+                        relaxed += (q in relax and strat == "frequency"
+                                    and typo is True and any(want))
+    assert relaxed > 0  # the relax path ran and found hits

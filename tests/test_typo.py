@@ -275,9 +275,14 @@ def test_proxy_typo_tolerance_option(typo_engine):
     assert checked >= 1
 
 
-def test_engine_search_typo_recovers_misspelled_query(typo_engine):
+def test_proxy_typo_recovers_misspelled_query(typo_engine):
     """A query misspelled within budget must still retrieve the docs the
-    correctly-spelled query retrieves (they score via the expanded term)."""
+    correctly-spelled query retrieves (they score via the expanded term
+    that typo matching joins to the OR term set)."""
+    from meilisearch_thai_ray.pipelines.search_proxy import (SearchOptions,
+                                                             SearchProxy)
+
+    p = SearchProxy(typo_engine)
     terms = [t for t in typo_engine._typo_vocabulary()[0]
              if ONE_TYPO_MIN_LEN <= len(t) < TWO_TYPO_MIN_LEN]
     vocab = set(typo_engine._typo_vocabulary()[0])
@@ -289,8 +294,8 @@ def test_engine_search_typo_recovers_misspelled_query(typo_engine):
         exact_hits = {d for d, _ in typo_engine.search(t, k=10)}
         if not exact_hits:
             continue
-        typo_hits = {d for d, _ in typo_engine.search_typo(typo, k=10,
-                                                           expansions=50)}
+        typo_hits = {h["doc_id"] for h in p.search(typo, options=SearchOptions(
+            limit=10, typo_tolerance=True, matching_strategy="any"))}
         assert exact_hits & typo_hits, (t, typo)
         checked += 1
         if checked >= 3:
