@@ -2,14 +2,14 @@
 
 Scoring is Lucene-style BM25 (k1=1.2, b=0.75; kernel/bm25.py). Guarantees:
 
-  * rank identity with the single-node oracle: scores accumulate per document
-    term-at-a-time in sorted-term order on BOTH sides (np.add.at adds in array
-    order), and every float64 expression mirrors the kernel's operation order —
-    scores are bit-identical, ties broken by (-score, doc_id);
-  * block-max WAND (score_topk(mode="wand")) prunes with per-block
-    idf-independent upper bounds (idf * block_max_tfn) and returns EXACTLY the
-    exhaustive top-k (asserted in tests) — per-doc evaluation also sums in
-    sorted-term order;
+  * rank identity with the single-node oracle: every scorer sums the one
+    contribution w * (idf * tfn) per document in sorted-term order, the
+    kernel's operation order — scores are bit-identical, ties broken by
+    (-score, doc_id);
+  * block-max WAND (score_topk(mode="wand")) prunes with per-block upper
+    bounds w * (idf * block_max_tfn) and returns EXACTLY the exhaustive
+    top-k (asserted in tests) — per-doc evaluation also sums in sorted-term
+    order;
   * salted segments of one term are doc-disjoint (doc_id % num_salts), so
     total df = sum of segment dfs, and per-term posting traversal concatenates
     segments in salt order.
@@ -53,6 +53,18 @@ def _select_topk(ids: np.ndarray, acc: np.ndarray, k: int,
         ids, acc = ids[sel], acc[sel]
     order = np.lexsort((ids, -acc))[:k]
     return [(int(ids[i]), float(acc[i])) for i in order]
+
+
+def _contributions(loaded) -> tuple[np.ndarray, np.ndarray]:
+    """(doc ids, contributions) of every posting of (term, w, idf, segments)
+    rows, in sorted-term then salt order. w * (idf * tfn) is the kernel's
+    operation order and the one contribution expression every scorer sums."""
+    ids, contrib = [], []
+    for _t, w, idf_t, segs in loaded:
+        for s in segs:
+            ids.append(s.doc_ids)
+            contrib.append(w * (idf_t * s.tfn))
+    return np.concatenate(ids), np.concatenate(contrib)
 
 
 def match_topk(engine, words: list[list[str]], k: int, strategy: str,
@@ -195,8 +207,8 @@ class SearchEngine:
         with open(os.path.join(index_dir, "meta.json")) as f:
             self.meta = json.load(f)
         # salts != None restricts this engine to a doc partition (salt =
-        # doc_id % num_salts): local df is then PARTIAL — scoring must use
-        # score_topk_given_idf with globally-summed dfs
+        # doc_id % num_salts): local df is then PARTIAL — scorers must be
+        # called with dfs= holding the globally-summed dfs
         self._salts = salts
         # generational serving (index/incremental.py): shadow = doc_ids
         # superseded by a NEWER generation (filtered out of every segment at
@@ -356,8 +368,26 @@ class SearchEngine:
 
     # ------------- scoring -------------
 
+    def _weighted(self, terms: list[str], dfs: dict[str, int] | None = None
+                  ) -> list[tuple[str, float, float, list[_Segment]]]:
+        """(term, weight, idf, segments) rows for the terms with postings
+        here, sorted by term (the accumulation order float identity rests
+        on); duplicates in `terms` are weights. idf comes from `dfs` when
+        given — the corpus-wide dfs a salt-restricted engine must score
+        with, its own being partial — else from this engine's postings."""
+        weights = Counter(terms)
+        rows = []
+        for t in sorted(weights):
+            segs = self.segments(t)
+            if segs:
+                df = dfs[t] if dfs is not None else sum(s.n for s in segs)
+                rows.append((t, float(weights[t]), _idf(self.n_docs, df), segs))
+        return rows
+
     def score_topk(self, terms: list[str], k: int = 10,
-                   mode: str = "auto", match: str = "any") -> list[tuple[int, float]]:
+                   mode: str = "auto", match: str = "any",
+                   dfs: dict[str, int] | None = None
+                   ) -> list[tuple[int, float]]:
         """terms: raw query term list (duplicates = weights). -> [(doc_id, score)]
         sorted by (-score, doc_id).
 
@@ -366,24 +396,13 @@ class SearchEngine:
         Both return identical results (asserted in tests).
 
         match: "any" (OR, default BM25) or "all" (docs must contain every query
-        term — Meilisearch matchingStrategy="all", search_executor.py:731-753)."""
+        term — Meilisearch matchingStrategy="all", search_executor.py:731-753;
+        a term absent from this engine's postings leaves no "all" match).
+        dfs: corpus-wide dfs for a salt-restricted engine (see _weighted)."""
         if k <= 0:
             return []
-        weights = Counter(terms)
-        ordered = sorted(weights)
-        loaded = []
-        total_postings = 0
-        for term in ordered:
-            segs = self.segments(term)
-            if not segs:
-                if match == "all":
-                    return []  # a required term is absent from the corpus
-                continue
-            df = sum(s.n for s in segs)
-            total_postings += df
-            idf_t = _idf(self.n_docs, df)
-            loaded.append((term, float(weights[term]), idf_t, segs))
-        if not loaded:
+        loaded = self._weighted(terms, dfs)
+        if not loaded or (match == "all" and len(loaded) < len(set(terms))):
             return []
         # require_all_terms travels as an explicit argument — instance state
         # here would let concurrent queries on a shared engine interleave and
@@ -399,6 +418,7 @@ class SearchEngine:
             # VECTORIZED MaxScore (batch candidate generation from essential
             # terms + gathered exact scoring), which degrades gracefully to
             # ~exhaustive cost when pruning doesn't apply.
+            total_postings = sum(s.n for row in loaded for s in row[3])
             mode = (
                 "maxscore"
                 if total_postings > 100_000 and len(loaded) > 1
@@ -409,29 +429,6 @@ class SearchEngine:
         if mode == "maxscore":
             return self._score_maxscore(loaded, k)
         return self._score_exhaustive(loaded, k, require_all_terms=require_all)
-
-    def score_topk_given_idf(self, weighted_terms: list[tuple[str, float, float]],
-                             k: int = 10, match: str = "any"
-                             ) -> list[tuple[int, float]]:
-        """Exhaustive top-k with CALLER-SUPPLIED idf per term — the scoring
-        primitive for doc-partitioned serving, where each actor holds only a
-        doc partition and its local dfs are partial (the driver sums local
-        dfs into global idfs first). weighted_terms must be sorted by term
-        (float-identity depends on sorted-term accumulation order).
-        match="all" keeps only docs containing EVERY queried term, like
-        score_topk's matchingStrategy (a term absent from this partition
-        entirely yields no "all" matches here)."""
-        loaded = []
-        for term, w, idf_t in weighted_terms:
-            segs = self.segments(term)
-            if segs:
-                loaded.append((term, float(w), float(idf_t), segs))
-        if not loaded or (match == "all"
-                          and len(loaded) < len(weighted_terms)):
-            return []
-        return self._score_exhaustive(
-            loaded, k,
-            require_all_terms=len(loaded) if match == "all" else None)
 
     def local_dfs(self, terms: list[str]) -> dict[str, int]:
         """Per-term df within this engine's (possibly salt-restricted) data."""
@@ -457,58 +454,26 @@ class SearchEngine:
         if pref is None:
             return self.score_topk(terms, k=k)
         pref.sort()  # [(-df, term)] -> df desc, term asc
-        exps = [t for _negdf, t in pref[:max_expansions]]
-        weights = Counter(head)
-        loaded = []
-        for term in sorted(weights):
-            segs = self.segments(term)
-            if not segs:
-                continue
-            df = sum(s.n for s in segs)
-            loaded.append((term, float(weights[term]),
-                           _idf(self.n_docs, df), segs))
-        # head sums (the exhaustive accumulation) ...
-        head_ids = head_acc = None
+        loaded = self._weighted(head)
+        # distinct completions, so every group row has weight 1.0
+        group = self._weighted([t for _negdf, t in pref[:max_expansions]])
+        if not loaded and not group:
+            return []
+        # head sums plus the per-doc MAX over the expansion group
+        parts = []
         if loaded:
-            id_chunks, contrib_chunks = [], []
-            for _t, w, idf_t, segs in loaded:
-                for seg in segs:
-                    id_chunks.append(seg.doc_ids)
-                    contrib_chunks.append(w * (idf_t * seg.tfn))
-            all_ids = np.concatenate(id_chunks)
-            all_contrib = np.concatenate(contrib_chunks)
-            head_ids, inv = np.unique(all_ids, return_inverse=True)
-            head_acc = np.zeros(head_ids.size, dtype=np.float64)
-            np.add.at(head_acc, inv, all_contrib)
-        # ... plus the per-doc MAX over the expansion group
-        grp_ids = grp_max = None
-        g_id_chunks, g_contrib_chunks = [], []
-        for e in exps:
-            segs = self.segments(e)
-            if not segs:
-                continue
-            df = sum(s.n for s in segs)
-            idf_t = _idf(self.n_docs, df)
-            for seg in segs:
-                g_id_chunks.append(seg.doc_ids)
-                g_contrib_chunks.append(idf_t * seg.tfn)
-        if g_id_chunks:
-            g_ids = np.concatenate(g_id_chunks)
-            g_contrib = np.concatenate(g_contrib_chunks)
+            head_ids, _inv, head_acc = self._accumulate(loaded)
+            parts.append((head_ids, head_acc))
+        if group:
+            g_ids, g_contrib = _contributions(group)
             grp_ids, ginv = np.unique(g_ids, return_inverse=True)
             grp_max = np.full(grp_ids.size, -np.inf, dtype=np.float64)
             np.maximum.at(grp_max, ginv, g_contrib)
-        if head_ids is None and grp_ids is None:
-            return []
-        if head_ids is None:
-            uniq, acc = grp_ids, grp_max
-        elif grp_ids is None:
-            uniq, acc = head_ids, head_acc
-        else:
-            uniq = np.union1d(head_ids, grp_ids)
-            acc = np.zeros(uniq.size, dtype=np.float64)
-            acc[np.searchsorted(uniq, head_ids)] += head_acc
-            acc[np.searchsorted(uniq, grp_ids)] += grp_max
+            parts.append((grp_ids, grp_max))
+        uniq = np.unique(np.concatenate([ids for ids, _ in parts]))
+        acc = np.zeros(uniq.size, dtype=np.float64)
+        for ids, part in parts:
+            acc[np.searchsorted(uniq, ids)] += part
         return _select_topk(uniq, acc, k, self._dead_arr)
 
     def search_matching(self, query: str, k: int = 10,
@@ -529,40 +494,50 @@ class SearchEngine:
             ids = ids[~np.isin(ids, self._dead_arr)]
         return ids
 
-    def score_docs_topk(self, terms: list[str], doc_ids, k: int
+    def score_docs_topk(self, terms: list[str], doc_ids, k: int,
+                        dfs: dict[str, int] | None = None
                         ) -> list[tuple[int, float]]:
         """OR-BM25 top-k of `terms` (duplicates = weights) restricted to
-        `doc_ids`, tombstones dropped. Same per-doc sorted-term
-        accumulation as _score_exhaustive, so each doc's score equals its
-        score_topk score."""
-        weights = Counter(terms)
-        weighted = [(t, weights[t], _idf(self.n_docs, df))
-                    for t in sorted(weights) if (df := self.df(t))]
+        `doc_ids`, tombstones dropped. Each doc's score equals its
+        score_topk score (same contributions, same order)."""
         ids = np.unique(np.asarray(doc_ids, np.uint64))
-        return _select_topk(ids, self._score_docs(weighted, ids), k,
-                            self._dead_arr)
+        return _select_topk(ids, self._score_docs(self._weighted(terms, dfs),
+                                                  ids), k, self._dead_arr)
+
+    @staticmethod
+    def _accumulate(loaded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(doc ids, inverse, sums): every posting of the rows summed per
+        doc. np.add.at adds in array order == sorted-term order per doc."""
+        ids, contrib = _contributions(loaded)
+        uniq, inv = np.unique(ids, return_inverse=True)
+        acc = np.zeros(uniq.size, dtype=np.float64)
+        np.add.at(acc, inv, contrib)
+        return uniq, inv, acc
+
+    @staticmethod
+    def _score_docs(loaded, ids: np.ndarray) -> np.ndarray:
+        """Per-doc sums for sorted uint64 `ids`, gathered per segment by
+        searchsorted in _accumulate's order (an int64 array would search
+        the uint64 postings as float64 and miss ids that round to a
+        neighbour)."""
+        acc = np.zeros(ids.size, np.float64)
+        for _t, w, idf_t, segs in loaded:
+            for seg in segs:
+                pos = np.searchsorted(seg.doc_ids, ids)
+                pos_c = np.minimum(pos, seg.n - 1)
+                hit = (pos < seg.n) & (seg.doc_ids[pos_c] == ids)
+                acc[hit] += w * (idf_t * seg.tfn[pos_c[hit]])
+        return acc
 
     def _score_exhaustive(self, loaded, k: int, *,
                           require_all_terms: int | None = None
                           ) -> list[tuple[int, float]]:
-        id_chunks, contrib_chunks = [], []
-        for _term, w, idf_t, segs in loaded:
-            for seg in segs:  # salt order; doc-disjoint within the term
-                id_chunks.append(seg.doc_ids)
-                contrib_chunks.append(w * (idf_t * seg.tfn))
-        all_ids = np.concatenate(id_chunks)
-        all_contrib = np.concatenate(contrib_chunks)
-        # np.add.at accumulates in array order == sorted-term order per doc
-        uniq, inv = np.unique(all_ids, return_inverse=True)
-        acc = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(acc, inv, all_contrib)
+        uniq, inv, acc = self._accumulate(loaded)
         if require_all_terms is not None:
             # matchingStrategy="all": keep only docs matched by EVERY query
-            # term (per-term doc sets are salt-disjoint, so one contribution
-            # chunk per term per doc => counting chunks counts terms)
-            counts = np.zeros(uniq.size, dtype=np.int32)
-            np.add.at(counts, inv, np.ones(all_ids.size, dtype=np.int32))
-            keep = counts == require_all_terms
+            # term (per-term doc sets are salt-disjoint, so one posting per
+            # term per doc => counting postings counts terms)
+            keep = np.bincount(inv, minlength=uniq.size) == require_all_terms
             uniq, acc = uniq[keep], acc[keep]
         return _select_topk(uniq, acc, k, self._dead_arr)
 
@@ -573,19 +548,19 @@ class SearchEngine:
            partial scores over the rarest terms (any doc subset's partial
            scores lower-bound their final scores, so the kth best partial
            lower-bounds the final kth best).
-        2. Essential split: sort terms by upper bound (w·idf·max tfn)
+        2. Essential split: sort terms by upper bound (w·(idf·max tfn))
            ascending; the maximal prefix whose ub-sum ≤ θ0 is non-essential —
            a doc appearing ONLY in those terms can never reach the top k.
         3. Candidates = union of essential terms' postings; exact scores are
-           gathered per term via searchsorted (accumulated in sorted-term
-           order ⇒ bit-identical to the exhaustive path, asserted in tests).
+           gathered by _score_docs (sorted-term order ⇒ bit-identical to the
+           exhaustive path, asserted in tests).
 
         Everything is numpy batch ops — no per-document python loop (the
         block-max WAND DAAT loop measured 50-100x slower than exhaustive)."""
         dfs = np.array([sum(s.n for s in segs) for *_x, segs in loaded],
                        dtype=np.int64)
         ubs = np.array(
-            [w * idf_t * max(float(s.block_max.max()) for s in segs if s.n)
+            [w * (idf_t * max(float(s.block_max.max()) for s in segs if s.n))
              for _t, w, idf_t, segs in loaded],
             dtype=np.float64,
         )
@@ -622,33 +597,27 @@ class SearchEngine:
         cand = np.unique(np.concatenate(
             [s.doc_ids for i in essential for s in loaded[i][3]]
         ))
-        # --- exact scoring of candidates, sorted-term order ---
-        acc = np.zeros(cand.size, dtype=np.float64)
-        for _term, w, idf_t, segs in loaded:  # loaded is sorted-term order
-            w_idf = w * idf_t
-            for seg in segs:
-                idx = np.searchsorted(seg.doc_ids, cand)
-                idx_c = np.minimum(idx, seg.n - 1)
-                hit = seg.doc_ids[idx_c] == cand
-                acc[hit] += w_idf * seg.tfn[idx_c[hit]]
-        return _select_topk(cand, acc, k, self._dead_arr)
+        return _select_topk(cand, self._score_docs(loaded, cand), k,
+                            self._dead_arr)
 
     def _score_wand(self, loaded, k: int) -> list[tuple[int, float]]:
         """Block-max WAND (document-at-a-time with pivoting and block skips).
 
         Cursor list = one per (term, salt) segment, tagged with its term index
         so full evaluation sums contributions in sorted-term order (float
-        identity with the exhaustive path). Pruning uses strict < so ties are
-        never dropped; heap replacement respects the (-score, doc_id) order.
+        identity with the exhaustive path). Bounds take the contribution's
+        form w * (idf * max): rounding is monotone, so a bound never falls
+        below what it bounds. Pruning uses strict < so ties are never
+        dropped; heap replacement respects the (-score, doc_id) order.
         """
         INF = np.uint64(0xFFFFFFFFFFFFFFFF)
-        cursors = []  # [pos, seg, ub, w_idf, term_idx]
+        cursors = []  # [pos, seg, ub, w, idf, term_idx]
         for t_idx, (_term, w, idf_t, segs) in enumerate(loaded):
-            w_idf = w * idf_t
             for seg in segs:
                 if seg.n:
-                    cursors.append([0, seg, w_idf * float(seg.block_max.max()),
-                                    w_idf, t_idx])
+                    cursors.append([
+                        0, seg, w * (idf_t * float(seg.block_max.max())),
+                        w, idf_t, t_idx])
         heap: list[tuple[float, int]] = []  # (score, -doc_id) min-heap of k best
 
         def threshold():
@@ -683,14 +652,14 @@ class SearchEngine:
                         break
                     seg = c[1]
                     bi = int(np.searchsorted(seg.block_last, np.int64(pivot_doc)))
-                    block_ub += c[3] * float(seg.block_max[bi])
+                    block_ub += c[3] * (c[4] * float(seg.block_max[bi]))
                     hit.append(c)
                 alive = int(pivot_doc) not in self._dead
                 if alive and (block_ub > theta or len(heap) < k or block_ub == theta):
-                    hit.sort(key=lambda c: c[4])  # sorted-term order
+                    hit.sort(key=lambda c: c[5])  # sorted-term order
                     score = 0.0
                     for c in hit:
-                        score += c[3] * c[1].tfn[c[0]]
+                        score += c[3] * (c[4] * c[1].tfn[c[0]])
                     self._heap_push(heap, k, score, int(pivot_doc))
                 for c in hit:
                     c[0] += 1
@@ -735,17 +704,23 @@ class SearchEngine:
         intersection (the AND set) + per-candidate position-list
         intersections — no document text is touched, unlike the
         substring-verify fallback in the proxy."""
+        seq, docs = self.phrase_docs(phrase)
+        if len(seq) == 1:
+            return self.score_topk(seq, k=k, match="all")
+        return self.score_docs_topk(seq, docs, k)
+
+    def phrase_docs(self, phrase: str) -> tuple[list[str], list[int]]:
+        """(primary term sequence, docs of this engine where it occurs at
+        consecutive token positions); a phrase of fewer than two terms
+        needs no position check and gets no docs. Raises ValueError on an
+        index built without positions."""
         if not self.has_positions:
             raise ValueError(
                 "index was built without store_positions=True; use the "
                 "proxy's substring-verify phrase path instead"
             )
         seq = self.phrase_seq(phrase)
-        if not seq:
-            return []
-        if len(seq) == 1:
-            return self.score_topk(seq, k=k, match="all")
-        return self.score_docs_topk(seq, self.phrase_match_docs(seq), k)
+        return seq, self.phrase_match_docs(seq) if len(seq) > 1 else []
 
     def phrase_seq(self, phrase: str) -> list[str]:
         """The phrase's primary term per token position (compound sub-terms
@@ -861,33 +836,9 @@ class SearchEngine:
                 matched.append(int(d))
         return matched
 
-    def score_docs_given_idf(self, weighted_terms: list[tuple[str, float, float]],
-                             doc_ids: list[int]) -> dict[int, float]:
-        """BM25 scores for SPECIFIC docs with caller-supplied idfs —
-        accumulation follows _score_exhaustive's exact chunk order
-        (sorted terms outer, salt segments inner, contribution
-        w * (idf * tfn)), so scores are bit-identical to the top-k paths."""
-        ids = np.asarray(sorted(doc_ids), np.uint64)
-        return dict(zip(ids.tolist(),
-                        self._score_docs(weighted_terms, ids).tolist()))
-
-    def _score_docs(self, weighted_terms, ids: np.ndarray) -> np.ndarray:
-        """Per-doc BM25 sums for sorted uint64 `ids` (an int64 array would
-        search the uint64 postings as float64 and miss ids that round to
-        a neighbour)."""
-        acc = np.zeros(ids.size, np.float64)
-        for term, w, idf_t in weighted_terms:
-            for seg in self.segments(term):
-                pos = np.searchsorted(seg.doc_ids, ids)
-                pos_c = np.minimum(pos, max(seg.n - 1, 0))
-                hit = (pos < seg.n) & (seg.doc_ids[pos_c] == ids)
-                if hit.any():
-                    acc[hit] += float(w) * (float(idf_t)
-                                            * seg.tfn[pos_c[hit]])
-        return acc
-
     def proximity_topk(self, terms: list[str], k: int = 10,
-                       pool: int | None = None
+                       pool: int | None = None,
+                       dfs: dict[str, int] | None = None
                        ) -> list[tuple[int, int, float]]:
         """Meilisearch 'proximity' ranking rule over the positional index:
         AND-matching docs bucketed by the MINIMAL token window covering one
@@ -900,7 +851,7 @@ class SearchEngine:
         sorted-merge sliding window over position lists — document text is
         never read. Needs store_positions=True (ranking_rules 'proximity'
         in Meilisearch is index-default; the reference delegates it to
-        Meilisearch wholesale)."""
+        Meilisearch wholesale). dfs: as in score_topk."""
         if not self.has_positions:
             raise ValueError(
                 "index was built without store_positions=True; proximity "
@@ -909,7 +860,7 @@ class SearchEngine:
         if not uniq:
             return []
         cand = self.score_topk(uniq, k=pool or max(10 * k, 100),
-                               match="all")
+                               match="all", dfs=dfs)
         if len(uniq) == 1:
             return [(d, 0, s) for d, s in cand[:k]]
         out: list[tuple[int, int, float]] = []
@@ -980,26 +931,17 @@ class SearchEngine:
             raise ValueError(
                 "index was built without store_positions=True; the field "
                 "of an occurrence is a position compare")
-        from collections import Counter
-
-        weights = Counter(terms)
         cand = self.score_topk(terms, k=pool or max(10 * k, 100))
         if not cand:
             return []
         meta = self._doc_meta([d for d, _ in cand])
-        loaded = []
-        for t in sorted(weights):
-            segs = self.segments(t)
-            if not segs:
-                continue
-            df = sum(s.n for s in segs)
-            loaded.append((t, float(weights[t]), _idf(self.n_docs, df)))
+        loaded = self._weighted(terms)
         out = []
         for d, _ in cand:
             boundary, dl = meta.get(d, (0, 0))
             knorm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
             s = 0.0
-            for t, w, idf_t in loaded:
+            for t, w, idf_t, _segs in loaded:
                 pos = self._doc_positions(t, d)
                 if pos is None or not len(pos):
                     continue

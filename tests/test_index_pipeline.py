@@ -338,7 +338,7 @@ def test_matching_strategy_frequency_ranks_words_by_live_docs(built,
     assert dead.search_matching(f"{lo} {hi}", strategy="frequency") == want
 
 
-def test_score_docs_given_idf_planted_neighbour(built):
+def test_score_docs_topk_planted_neighbour(built):
     """Scoring given docs finds a posting whose id rounds, as a float64,
     to the same value as a lower posting beside it (ids are uint64)."""
     import numpy as np
@@ -354,8 +354,6 @@ def test_score_docs_given_idf_planted_neighbour(built):
     eng._seg_cache["zzplanted"] = [seg]
     want = eng._score_exhaustive([("zzplanted", 1.0, 2.0, [seg])], 10)
     assert want == [(a + 2, 2.0), (a, 1.0)]
-    got = eng.score_docs_given_idf([("zzplanted", 1.0, 2.0)], [a, a + 2])
-    assert sorted(got.items(), key=lambda x: (-x[1], x[0])) == want
     assert eng.score_docs_topk(["zzplanted"], ids, 10) == \
         eng.score_topk(["zzplanted"], 10)
 
@@ -675,7 +673,9 @@ def test_maxscore_identical_to_exhaustive(built):
 
 def test_maxscore_prunes_skewed_synthetic():
     """On a rare+common skewed query MaxScore actually prunes (the common
-    term goes non-essential) and still matches exhaustive bit-for-bit."""
+    term goes non-essential) and still matches exhaustive bit-for-bit, and
+    so does WAND — also when the rare term repeats three times: weight 3
+    is not a power of two, so (w*idf)*tfn and w*(idf*tfn) round apart."""
     import numpy as np
 
     from meilisearch_thai_ray.index.search import SearchEngine, _Segment
@@ -697,13 +697,15 @@ def test_maxscore_prunes_skewed_synthetic():
                           for i in range(nb)], dtype=np.int64)
         return _Segment(ids, tfn, blast, bm)
 
-    loaded = sorted([
-        ("aaa_rare", 1.0, _idf(N, 500), [seg(500, 3)]),
-        ("mmm_common", 1.0, _idf(N, 100_000), [seg(100_000, 1)]),
-    ])
-    a = eng._score_exhaustive(loaded, 10)
-    m = eng._score_maxscore(loaded, 10)
-    assert a == m and len(a) == 10
+    for w in (1.0, 3.0):
+        loaded = sorted([
+            ("aaa_rare", w, _idf(N, 500), [seg(500, 3)]),
+            ("mmm_common", 1.0, _idf(N, 100_000), [seg(100_000, 1)]),
+        ])
+        a = eng._score_exhaustive(loaded, 10)
+        assert len(a) == 10
+        assert eng._score_maxscore(loaded, 10) == a, w
+        assert eng._score_wand(loaded, 10) == a, w
 
 
 def _warc_bytes(records):

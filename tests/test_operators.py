@@ -493,9 +493,11 @@ def test_json_document_ingest(ray_session, tmp_path):
     p.write_text("\n".join(_json.dumps(d, ensure_ascii=False) for d in docs), encoding="utf-8")
 
     ds = read_documents_jsonl(str(p))
-    t = ds.to_pandas()
-    assert list(t["url"]) == ["doc://tech_001", "doc://food_001"]
-    assert t["text"][0].startswith("ปัญญาประดิษฐ์\n")
+    # Ray Data does not preserve row order: key the rows by url
+    rows = {r["url"]: r for r in ds.take_all()}
+    assert sorted(rows) == ["doc://food_001", "doc://tech_001"]
+    assert ds.count() == 2
+    assert rows["doc://tech_001"]["text"].startswith("ปัญญาประดิษฐ์\n")
 
     pages_dir = tmp_path / "pages"
     ds2 = from_document_list(docs)

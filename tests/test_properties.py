@@ -139,6 +139,61 @@ def test_select_topk_exact_under_ties(case, pass_dead):
     assert got == sorted(live, key=lambda x: (-x[1], x[0]))[:k]
 
 
+@st.composite
+def _scoring_case(draw):
+    """(loaded rows, k, tombstones): 1-4 terms with weights 1-5, each term's
+    docs split into doc-disjoint salt segments with 4-posting blocks. tfn
+    and idf come from pools of at most 3 values and the docs from a
+    40-id universe, so many docs tie on score."""
+    from meilisearch_thai_ray.index.search import _Segment
+
+    num_salts = draw(st.integers(1, 3))
+    tfns = draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3))
+    idfs = draw(st.lists(st.floats(0.01, 12.0), min_size=1, max_size=3))
+    loaded = []
+    for t in range(draw(st.integers(1, 4))):
+        docs = sorted(draw(st.sets(st.integers(0, 39), min_size=1)))
+        segs = []
+        for salt in range(num_salts):
+            ids = np.array([d for d in docs if d % num_salts == salt],
+                           np.uint64)
+            if not ids.size:
+                continue
+            tfn = np.array(draw(st.lists(st.sampled_from(tfns),
+                                         min_size=ids.size,
+                                         max_size=ids.size)))
+            starts = np.arange(0, ids.size, 4)
+            last = ids[np.minimum(starts + 4, ids.size) - 1].astype(np.int64)
+            segs.append(_Segment(ids, tfn, last,
+                                 np.maximum.reduceat(tfn, starts)))
+        loaded.append((f"t{t}", float(draw(st.integers(1, 5))),
+                       draw(st.sampled_from(idfs)), segs))
+    k = draw(st.integers(1, 45))
+    dead = draw(st.sets(st.integers(0, 39), max_size=6))
+    return loaded, k, dead
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scoring_case())
+def test_scorers_share_one_contribution(case):
+    """Exhaustive, MaxScore and WAND return the same top-k, ids and float
+    scores, as _select_topk over _score_docs of every candidate: all sum
+    w * (idf * tfn) per doc in sorted-term order, whatever the weights."""
+    from meilisearch_thai_ray.index.search import SearchEngine, _select_topk
+
+    loaded, k, dead = case
+    eng = SearchEngine.__new__(SearchEngine)
+    eng._dead = dead
+    eng._dead_arr = np.array(sorted(dead), np.uint64) if dead else None
+    cand = np.unique(np.concatenate(
+        [s.doc_ids for *_x, segs in loaded for s in segs]))
+    want = _select_topk(cand, SearchEngine._score_docs(loaded, cand), k,
+                        eng._dead_arr)
+    assert eng._score_exhaustive(loaded, k) == want
+    assert eng._score_maxscore(loaded, k) == want
+    assert eng._score_wand(loaded, k) == want
+
+
 # ---------------------- sketch kernels (pure, no Ray) ----------------------
 
 @settings(max_examples=200, deadline=None)

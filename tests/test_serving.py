@@ -79,3 +79,74 @@ def test_k_zero_returns_no_hits(local, entry):
     finally:
         if svc is not None:
             svc.shutdown()
+
+
+def test_served_phrase_and_proximity_need_positions(local):
+    """On an index built without positions the served phrase and
+    proximity paths raise like the local engine, not answer []."""
+    from meilisearch_thai_ray.index.serving import DocPartitionedSearchService
+
+    assert not local.has_positions
+    query = next(q["query"] for q in QUERY_FIXTURES
+                 if len(local.query_terms(q["query"])) >= 2)
+    terms = local.query_terms(query)
+    svc = DocPartitionedSearchService(local.index_dir, num_servers=2)
+    try:
+        for call in (lambda e: e.phrase_topk(query, 10),
+                     lambda e: e.proximity_topk(terms, 10)):
+            with pytest.raises(ValueError):
+                call(local)
+            with pytest.raises(ValueError):
+                call(svc)
+    finally:
+        svc.shutdown()
+
+
+def test_doc_partitioned_drops_tombstones(ray_session, tmp_path_factory):
+    """On a positional index whose copy lost two top phrase hits through
+    delete_docs, the service equals the local engine for term queries (one
+    with a term repeated three times), phrase_topk and proximity_topk with
+    a pool covering every doc — the actors drop the tombstoned docs."""
+    import shutil
+
+    from meilisearch_thai_ray.index.maintenance import delete_docs
+    from meilisearch_thai_ray.index.serving import DocPartitionedSearchService
+
+    root = tmp_path_factory.mktemp("serve_dead")
+    pages, out = str(root / "pages"), str(root / "index")
+    write_pages_parquet(pages, 250, rows_per_file=125)
+    build_index(pages, out, EngineConfig(num_shards=8, store_positions=True),
+                num_salts=2, batch_size=64)
+    full = SearchEngine(out)
+    phrase = next(q["query"] for q in QUERY_FIXTURES
+                  if len(full.phrase_seq(q["query"])) >= 2
+                  and len(full.phrase_topk(q["query"], 10)) >= 3)
+    gone = [d for d, _ in full.phrase_topk(phrase, 2)]
+    copy = str(root / "copy")
+    shutil.copytree(out, copy)
+    delete_docs(copy, gone)
+    dead = SearchEngine(copy)
+    pool = dead.n_docs  # a pool over every doc makes proximity exact
+    seq = dead.phrase_seq(phrase)
+    svc = DocPartitionedSearchService(copy, num_servers=2)
+    try:
+        queries = [dead.query_terms(q["query"]) for q in QUERY_FIXTURES]
+        queries.append(seq[:1] * 3 + seq[1:])
+        for terms in queries:
+            assert svc.score_topk(terms, 10) == dead.score_topk(terms, 10)
+        for q in QUERY_FIXTURES:
+            assert svc.phrase_topk(q["query"], 10) == \
+                dead.phrase_topk(q["query"], 10), q["qid"]
+        for terms in queries:
+            assert svc.proximity_topk(terms, 10, pool=pool) == \
+                dead.proximity_topk(terms, 10, pool=pool)
+        # the deleted docs ranked top on the full index and are gone here
+        for hits in (svc.score_topk(queries[-1], 10),
+                     svc.phrase_topk(phrase, 10),
+                     svc.proximity_topk(seq, 10, pool=pool)):
+            assert hits and not {h[0] for h in hits} & set(gone)
+        assert {h[0] for h in full.score_topk(queries[-1], 10)} >= set(gone)
+        assert {h[0] for h in full.proximity_topk(seq, 10, pool=pool)
+                } >= set(gone)
+    finally:
+        svc.shutdown()
