@@ -133,9 +133,12 @@ def match_topk(engine, words: list[list[str]], k: int, strategy: str,
 
 def _min_window_cost(plists: list[np.ndarray]) -> int:
     """Minimal token window covering one position from EVERY list, minus
-    the list count (0 = an adjacent packing exists): sorted merge of
-    (position, list_id) + the classic two-pointer covering-window scan."""
+    the list count (0 = an adjacent packing exists; fewer than two lists
+    cost 0): sorted merge of (position, list_id) + the classic two-pointer
+    covering-window scan."""
     nt = len(plists)
+    if nt < 2:
+        return 0
     allpos = np.concatenate(plists)
     tids = np.concatenate(
         [np.full(p.size, ti, np.int64) for ti, p in enumerate(plists)])
@@ -160,6 +163,52 @@ def _min_window_cost(plists: list[np.ndarray]) -> int:
     return best - nt
 
 
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the slices [starts[i], starts[i] + counts[i]),
+    concatenated in order (int64 arrays)."""
+    ends = np.cumsum(counts)
+    return (np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+            + np.repeat(starts - (ends - counts), counts))
+
+
+def per_doc(gathered: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """One term's doc_term_positions CSR (counts, flat) as one ascending
+    position array per doc row (empty where the doc lacks the term)."""
+    counts, flat = gathered
+    return np.split(flat, np.cumsum(counts)[:-1])
+
+
+def phrase_rows(gathered: dict[str, tuple[np.ndarray, np.ndarray]],
+                seq: list[str], n: int) -> np.ndarray:
+    """Per-row flags over a doc_term_positions gather of `n` docs: True
+    where `seq` occurs at consecutive token positions, in order.
+
+    Each occurrence of slot j's term becomes the key row * width + (pos - j
+    + 1), width = max_pos + 2, so a row's keys never reach the next row's;
+    the phrase matches exactly where the key sets of ALL slots intersect.
+    Slot j cannot occur before position j: such occurrences have no valid
+    alignment start and are dropped. Raises ValueError when n * width
+    would overflow int64 keys."""
+    max_pos = max((int(gathered[t][1].max()) for t in seq
+                   if gathered[t][1].size), default=0)
+    width = max_pos + 2
+    if n * width >= 1 << 63:
+        raise ValueError(f"phrase keys overflow int64: {n} docs with "
+                         f"positions up to {max_pos}")
+    rows = np.arange(n, dtype=np.int64)
+    keys = None
+    for j, t in enumerate(seq):
+        counts, flat = gathered[t]
+        ok = flat >= j
+        kj = np.repeat(rows, counts)[ok] * width + (flat[ok] - j + 1)
+        keys = kj if keys is None else keys[np.isin(keys, kj)]
+        if not keys.size:
+            break
+    mask = np.zeros(n, dtype=bool)
+    mask[keys // width] = True
+    return mask
+
+
 class _Segment:
     __slots__ = ("doc_ids", "tfn", "block_last", "block_max", "n",
                  "tfs", "pos_bin", "pos_flat", "pos_offsets")
@@ -176,19 +225,21 @@ class _Segment:
         self.pos_flat = None
         self.pos_offsets = None
 
-    def positions_of(self, idx: int) -> np.ndarray | None:
-        """Ascending occurrence positions of posting #idx (None if the index
-        was built without store_positions)."""
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat positions, per-posting start offsets): posting i's
+        ascending positions are flat[offsets[i]:offsets[i] + tfs[i]].
+        Decoded on first access (shadow filtering decodes up front).
+        Raises ValueError when the index stores no positions."""
         if self.pos_flat is None:
-            if not self.pos_bin:  # pre-decoded (shadow-filtered) or absent
-                return None
+            if not self.pos_bin:
+                raise ValueError("index was built without "
+                                 "store_positions=True")
             from .codec import decode_positions
 
             self.pos_flat, self.pos_offsets = decode_positions(
                 self.pos_bin, self.tfs
             )
-        start = self.pos_offsets[idx]
-        return self.pos_flat[start : start + int(self.tfs[idx])]
+        return self.pos_flat, self.pos_offsets
 
 
 class SearchEngine:
@@ -220,6 +271,7 @@ class SearchEngine:
             and len(shadow) else None
         )
         self.index_dir = index_dir
+        self.generations = [index_dir]  # dirs holding docs/, oldest first
         self.k1 = self.meta["k1"]
         self.b = self.meta["b"]
         self.avgdl = (
@@ -319,11 +371,8 @@ class SearchEngine:
                 from .codec import decode_positions
 
                 flat, offs = decode_positions(pos_bin, tfs)
-                kept_idx = np.flatnonzero(keep)
-                parts = [flat[offs[i]:offs[i] + int(tfs[i])] for i in kept_idx]
-                pos_flat = (np.concatenate(parts) if parts
-                            else np.empty(0, np.uint64))
-                kc = tfs[kept_idx].astype(np.int64)
+                kc = tfs[keep].astype(np.int64)
+                pos_flat = flat[_ragged(offs[keep], kc)]
                 pos_offsets = np.cumsum(kc) - kc
                 pos_bin = b""
             if keep is not None:
@@ -686,14 +735,39 @@ class SearchEngine:
     def has_positions(self) -> bool:
         return bool(self.meta.get("store_positions"))
 
-    def _doc_positions(self, term: str, doc_id: int) -> np.ndarray | None:
-        """Occurrence positions of `term` in `doc_id` (salt segments are
-        doc-disjoint: at most one segment holds the doc)."""
-        for seg in self.segments(term):
-            i = int(np.searchsorted(seg.doc_ids, np.uint64(doc_id)))
-            if i < seg.n and seg.doc_ids[i] == np.uint64(doc_id):
-                return seg.positions_of(i)
-        return None
+    def doc_term_positions(self, doc_ids, terms: list[str]
+                           ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """{term: (counts, flat)} — the one reader of positions. For each
+        distinct term, a CSR view aligned row for row to `doc_ids` (uint64,
+        taken in the given order; callers pass them sorted or in hit
+        order): counts[i] = the term's occurrence count in doc i, 0 when
+        the doc lacks it, and flat = every row's ascending positions
+        (int64), concatenated in row order.
+
+        One ragged gather per segment: a searchsorted of all ids, then the
+        hits' position slices in one fancy index. Salt segments (and
+        shadow-filtered generations) are doc-disjoint, so at most one
+        segment fills a row. Raises ValueError when a hit segment stores
+        no positions."""
+        ids = np.asarray(doc_ids, dtype=np.uint64)
+        out = {}
+        for t in dict.fromkeys(terms):
+            counts = np.zeros(ids.size, np.int64)
+            hits = []
+            for seg in self.segments(t):
+                idx = np.minimum(np.searchsorted(seg.doc_ids, ids), seg.n - 1)
+                rows = np.flatnonzero(seg.doc_ids[idx] == ids)
+                if rows.size:
+                    counts[rows] = seg.tfs[idx[rows]]
+                    hits.append((rows, idx[rows], seg))
+            flat = np.empty(int(counts.sum()), np.int64)
+            starts = np.cumsum(counts) - counts
+            for rows, sidx, seg in hits:
+                pos_flat, pos_offsets = seg.positions()
+                flat[_ragged(starts[rows], counts[rows])] = pos_flat[
+                    _ragged(pos_offsets[sidx], counts[rows])]
+            out[t] = (counts, flat)
+        return out
 
     def phrase_topk(self, phrase: str, k: int = 10) -> list[tuple[int, float]]:
         """True token-adjacency phrase search over the positional index
@@ -701,9 +775,9 @@ class SearchEngine:
         primary terms occur at CONSECUTIVE token positions, BM25-ranked.
 
         Needs store_positions=True at build time. Cost: one posting
-        intersection (the AND set) + per-candidate position-list
-        intersections — no document text is touched, unlike the
-        substring-verify fallback in the proxy."""
+        intersection (the AND set) + one position gather over its docs —
+        no document text is touched, unlike the substring-verify fallback
+        in the proxy."""
         seq, docs = self.phrase_docs(phrase)
         if len(seq) == 1:
             return self.score_topk(seq, k=k, match="all")
@@ -737,22 +811,10 @@ class SearchEngine:
 
     def phrase_match_docs(self, seq: list[str]) -> list[int]:
         """Docs (within this engine's possibly salt-restricted partition)
-        where `seq` occurs at consecutive token positions: posting-AND
-        intersection + position verification. No scoring — the building
-        block doc-partitioned serving fans out.
-
-        Vectorized: per phrase slot j, every candidate doc's occurrence
-        positions gather in ONE ragged-slice pass per segment (no per-doc
-        Python loop — that loop measured 108 ms p50 per phrase query on
-        1M docs and was the whole serving-load p95 tail, BASELINE.md r5),
-        encoded as (candidate_rank << 21 | pos - j + 1) keys; the phrase
-        matches exactly where the sorted key sets of ALL slots intersect.
-        Ranks index the sorted candidate array (doc ids themselves are
-        64-bit url hashes, too wide to pack). Positions up to 2^21-2 pack
-        into the fast keys — far above any real document — and a corpus
-        that DOES exceed it (a multi-million-token concatenation) falls
-        back to the per-doc verification loop for that query instead of
-        failing it (identical results, asserted in tests)."""
+        where `seq` occurs at consecutive token positions, sorted:
+        posting-AND intersection, then one position gather over the
+        candidates checked by phrase_rows. No scoring — the building block
+        doc-partitioned serving fans out."""
         uniq_terms = sorted(set(seq))
         doc_sets = []
         for t in uniq_terms:
@@ -766,75 +828,9 @@ class SearchEngine:
             cand = cand[np.isin(cand, ds_)]
             if cand.size == 0:
                 return []
-        if len(seq) >= (1 << 21):
-            return self._phrase_match_docs_perdoc(seq, cand)
-        POS_BITS = 21
-        cand_sorted = np.sort(cand)
-        keys: np.ndarray | None = None
-        for j, t in enumerate(seq):
-            parts = []
-            for seg in self.segments(t):
-                idx = np.searchsorted(seg.doc_ids, cand)
-                idx = np.minimum(idx, max(seg.n - 1, 0))
-                hit = seg.doc_ids[idx] == cand
-                if not hit.any():
-                    continue
-                hidx = idx[hit]
-                if seg.positions_of(0) is None and seg.n:
-                    return []  # built without positions (callers pre-check)
-                starts = seg.pos_offsets[hidx].astype(np.int64)
-                counts = seg.tfs[hidx].astype(np.int64)
-                cum = np.concatenate(([0], np.cumsum(counts)))
-                flat = (np.arange(cum[-1], dtype=np.int64)
-                        - np.repeat(cum[:-1], counts)
-                        + np.repeat(starts, counts))
-                pos = seg.pos_flat[flat].astype(np.int64)
-                if pos.size and int(pos.max()) >= (1 << POS_BITS) - 1:
-                    # a candidate doc too long for the packed keys: verify
-                    # per doc (rare; correctness over speed)
-                    return self._phrase_match_docs_perdoc(seq, cand)
-                ranks_rep = np.repeat(
-                    np.searchsorted(cand_sorted,
-                                    seg.doc_ids[hidx]).astype(np.int64),
-                    counts)
-                # slot j of a phrase cannot occur before token position j:
-                # earlier occurrences have no valid alignment start, and a
-                # negative shift would borrow into the rank field of the key
-                ok = pos >= j
-                parts.append(((ranks_rep[ok] << POS_BITS)
-                              + (pos[ok] - j + 1)))
-            if not parts:
-                return []
-            kj = np.concatenate(parts)
-            kj.sort()
-            keys = kj if keys is None else keys[
-                np.isin(keys, kj, assume_unique=False)]
-            if keys.size == 0:
-                return []
-        matched = cand_sorted[np.unique(keys >> POS_BITS)]
-        return [int(d) for d in matched]
-
-    def _phrase_match_docs_perdoc(self, seq: list[str],
-                                  cand: np.ndarray) -> list[int]:
-        """Per-candidate verification fallback (the pre-r5 loop): used
-        when a candidate doc's positions exceed the packed-key range.
-        Same results as the vectorized path, sorted by doc_id."""
-        matched: list[int] = []
-        for d in np.sort(cand).tolist():
-            base: np.ndarray | None = None
-            for j, t in enumerate(seq):
-                pos = self._doc_positions(t, d)
-                if pos is None:
-                    base = None
-                    break
-                shifted = pos.astype(np.int64) - j
-                base = (shifted if base is None
-                        else np.intersect1d(base, shifted))
-                if base.size == 0:
-                    break
-            if base is not None and base.size:
-                matched.append(int(d))
-        return matched
+        cand = np.sort(cand)
+        gathered = self.doc_term_positions(cand, seq)
+        return [int(d) for d in cand[phrase_rows(gathered, seq, cand.size)]]
 
     def proximity_topk(self, terms: list[str], k: int = 10,
                        pool: int | None = None,
@@ -847,11 +843,12 @@ class SearchEngine:
         (0 = some occurrence of every term packs into adjacent tokens);
         ties break by BM25 desc, doc_id asc.
 
-        Cost: one posting intersection (score_topk pool) + a per-candidate
-        sorted-merge sliding window over position lists — document text is
-        never read. Needs store_positions=True (ranking_rules 'proximity'
-        in Meilisearch is index-default; the reference delegates it to
-        Meilisearch wholesale). dfs: as in score_topk."""
+        Cost: one posting intersection (score_topk pool), one position
+        gather over the pool, then a per-candidate sorted-merge sliding
+        window — document text is never read. Needs store_positions=True
+        (ranking_rules 'proximity' in Meilisearch is index-default; the
+        reference delegates it to Meilisearch wholesale). dfs: as in
+        score_topk."""
         if not self.has_positions:
             raise ValueError(
                 "index was built without store_positions=True; proximity "
@@ -863,53 +860,42 @@ class SearchEngine:
                                match="all", dfs=dfs)
         if len(uniq) == 1:
             return [(d, 0, s) for d, s in cand[:k]]
-        out: list[tuple[int, int, float]] = []
-        for d, score in cand:
-            nm, cost = self.proximity_cost(d, uniq)
-            if nm == len(uniq):
-                out.append((d, cost, score))
+        gathered = self.doc_term_positions([d for d, _ in cand], uniq)
+        lists = [per_doc(gathered[t]) for t in uniq]
+        # every candidate holds every term (match="all")
+        out = [(d, _min_window_cost([pl[i] for pl in lists]), score)
+               for i, (d, score) in enumerate(cand)]
         out.sort(key=lambda x: (x[1], -x[2], x[0]))
         return out[:k]
 
-    def proximity_cost(self, doc_id: int,
-                       terms: list[str]) -> tuple[int, int]:
-        """-> (n_matched_terms, proximity_cost) for one doc: the minimal
-        token window covering one occurrence of every MATCHED term, minus
-        the matched-term count (0 = adjacent packing). Docs matching fewer
-        terms are ranked by Meilisearch's 'words' rule first — callers
-        bucket by (-n_matched, cost). n_matched < 2 => cost 0."""
-        plists = []
-        for t in dict.fromkeys(terms):
-            pos = self._doc_positions(t, doc_id)
-            if pos is not None and pos.size:
-                plists.append(pos.astype(np.int64))
-        nm = len(plists)
-        if nm < 2:
-            return nm, 0
-        return nm, _min_window_cost(plists)
-
-    def _doc_meta(self, doc_ids: list[int]) -> dict[int, tuple[int, int]]:
-        """{doc_id: (title_tc, token_count)} for a candidate set via one
-        pruned read of the index's docs table (title_tc falls back to 0 on
-        pre-v5 docs tables — every occurrence then counts as content)."""
+    def _doc_meta(self, doc_ids: list[int]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """(title_tc, token_count) int64 arrays aligned to `doc_ids` via
+        one pruned read of each generation's docs table, the newest
+        generation's row winning (title_tc falls back to 0 on pre-v5 docs
+        tables — every occurrence then counts as content; a doc found in no
+        table gets (0, 0))."""
         import pyarrow.compute as pc
         import pyarrow.dataset as pads
 
-        docs_dir = os.path.join(self.index_dir, "docs")
-        if not os.path.isdir(docs_dir) or not doc_ids:
-            return {}
-        dset = pads.dataset(docs_dir)
-        cols = ["doc_id", "token_count"]
-        has_ttc = "title_tc" in dset.schema.names
-        if has_ttc:
-            cols.append("title_tc")
-        t = dset.to_table(columns=cols,
-                          filter=pc.field("doc_id").isin(doc_ids))
-        ttc = (t["title_tc"].to_pylist() if has_ttc
-               else [0] * t.num_rows)
-        return {d: (int(b or 0), int(c or 0)) for d, b, c in
-                zip(t["doc_id"].to_pylist(), ttc,
-                    t["token_count"].to_pylist())}
+        meta: dict[int, tuple[int, int]] = {}
+        for root in self.generations:
+            docs_dir = os.path.join(root, "docs")
+            if not os.path.isdir(docs_dir):
+                continue
+            dset = pads.dataset(docs_dir)
+            has_ttc = "title_tc" in dset.schema.names
+            t = dset.to_table(
+                columns=["doc_id", "token_count"]
+                + (["title_tc"] if has_ttc else []),
+                filter=pc.field("doc_id").isin(doc_ids))
+            ttc = t["title_tc"].to_pylist() if has_ttc else [0] * t.num_rows
+            meta.update({d: (int(b or 0), int(c or 0)) for d, b, c in
+                         zip(t["doc_id"].to_pylist(), ttc,
+                             t["token_count"].to_pylist())})
+        rows = np.array([meta.get(d, (0, 0)) for d in doc_ids],
+                        dtype=np.int64).reshape(-1, 2)
+        return rows[:, 0], rows[:, 1]
 
     def bm25f_topk(self, terms: list[str], k: int = 10,
                    title_weight: float = 2.0,
@@ -924,9 +910,10 @@ class SearchEngine:
 
         Rerank shape: candidates come from the plain BM25 top-pool (the
         distributed/pruned path), the field-weighted score recomputes only
-        for those k-scale candidates from positions + one pruned docs-table
-        read — no second index pass. title_weight=1.0 reproduces
-        score_topk's scores exactly (pytest-asserted identity)."""
+        for those k-scale candidates from one position gather + one pruned
+        docs-table read per generation — no second index pass.
+        title_weight=1.0 reproduces score_topk's scores exactly
+        (pytest-asserted identity)."""
         if not self.has_positions:
             raise ValueError(
                 "index was built without store_positions=True; the field "
@@ -934,33 +921,23 @@ class SearchEngine:
         cand = self.score_topk(terms, k=pool or max(10 * k, 100))
         if not cand:
             return []
-        meta = self._doc_meta([d for d, _ in cand])
+        ids = [d for d, _ in cand]
+        boundary, dl = self._doc_meta(ids)
+        knorm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
         loaded = self._weighted(terms)
-        out = []
-        for d, _ in cand:
-            boundary, dl = meta.get(d, (0, 0))
-            knorm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-            s = 0.0
-            for t, w, idf_t, _segs in loaded:
-                pos = self._doc_positions(t, d)
-                if pos is None or not len(pos):
-                    continue
-                tf_title = int((np.asarray(pos) < boundary).sum())
-                tfw = (len(pos) - tf_title) + title_weight * tf_title
-                s += w * idf_t * tfw * (self.k1 + 1.0) / (tfw + knorm)
-            out.append((d, s))
-        out.sort(key=lambda x: (-x[1], x[0]))
+        gathered = self.doc_term_positions(ids, [t for t, *_x in loaded])
+        s = np.zeros(len(ids), np.float64)
+        for t, w, idf_t, _segs in loaded:
+            counts, flat = gathered[t]
+            m = counts > 0
+            rows = np.repeat(np.arange(len(ids)), counts)
+            # per-row title occurrence counts (positions before the boundary)
+            tf_title = np.bincount(rows, weights=flat < boundary[rows],
+                                   minlength=len(ids)).astype(np.int64)
+            tfw = (counts - tf_title) + title_weight * tf_title
+            s[m] += (w * idf_t * tfw * (self.k1 + 1.0) / (tfw + knorm))[m]
+        out = sorted(zip(ids, s.tolist()), key=lambda x: (-x[1], x[0]))
         return out[:k]
-
-    def doc_term_positions(self, doc_id: int,
-                           term: str) -> "np.ndarray | None":
-        """Occurrence positions of `term` in `doc_id` (None when absent or
-        the index stores no positions) — the probe the proxy's ranking
-        rules chain (words/typo/attribute/exactness buckets) is built
-        from. One segment searchsorted per call; segments are decode-
-        cached, so a k-candidate rerank touches each term's postings
-        once."""
-        return self._doc_positions(term, doc_id)
 
     # ------------- prefix expansion -------------
 

@@ -35,8 +35,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..config import EngineConfig
-from ..index.search import match_topk
+from ..index.search import _min_window_cost, match_topk, per_doc, phrase_rows
 from ..kernel.charclass import is_thai_text
 
 ORIGINAL = "original"
@@ -873,30 +875,27 @@ class SearchProxy:
             )
         attr_ok: dict[int, bool] = {}
         if attrs_on is not None and ranked:
-            # one pruned title_tc read for the whole candidate set, then a
-            # per-doc position probe: a hit survives iff some direct query
+            # one pruned title_tc read and one position gather for the
+            # whole candidate set: a hit survives iff some direct query
             # term occurs inside an allowed field (title = positions before
             # the doc's title_tc boundary, content = at or after it)
-            qterms_attr = list(dict.fromkeys(self.engine.phrase_seq(query)))
             cand_ids = [c[0]["doc_id"] for c in ranked]
             ttc_attr = {
                 d: int(v.get("title_tc") or 0)
                 for d, v in self._doc_fields(cand_ids, ["title_tc"]).items()
             }
-            for d in cand_ids:
-                boundary = ttc_attr.get(d, 0)
-                ok = False
-                for t in qterms_attr:
-                    pos = self.engine.doc_term_positions(d, t)
-                    if pos is None or not len(pos):
-                        continue
-                    in_title = int(pos.min()) < boundary
-                    in_content = int(pos.max()) >= boundary
-                    if ("title" in attrs_on and in_title) or (
-                            "content" in attrs_on and in_content):
-                        ok = True
-                        break
-                attr_ok[d] = ok
+            boundary = np.array([ttc_attr.get(d, 0) for d in cand_ids],
+                                np.int64)
+            ok = np.zeros(len(cand_ids), dtype=bool)
+            for counts, flat in self.engine.doc_term_positions(
+                    cand_ids, self.engine.phrase_seq(query)).values():
+                has = counts > 0
+                ends = np.cumsum(counts)[has]
+                if "title" in attrs_on:  # first occurrence in the title
+                    ok[has] |= flat[ends - counts[has]] < boundary[has]
+                if "content" in attrs_on:  # last occurrence in the content
+                    ok[has] |= flat[ends - 1] >= boundary[has]
+            attr_ok = dict(zip(cand_ids, ok.tolist()))
         min_score = MIN_SCORE_THRESHOLD
         if options and options.ranking_score_threshold is not None:
             min_score = max(min_score, options.ranking_score_threshold)
@@ -963,6 +962,12 @@ class SearchProxy:
                     "dedup_count": len(candidates) - n_unique,
                 }
             )
+        # the query's index terms, tokenized once for proximity ranking,
+        # highlighting and match positions
+        qterms = (self.tokenizer.index_terms(self.tokenizer.tokenize(query))
+                  if prox_rank or (options and (options.highlight or
+                                                options.show_matches_position))
+                  else [])
         if sort_crit:
             out = self._apply_sort(out, sort_crit)[offset:offset + k]
         elif rules_rank:
@@ -974,17 +979,18 @@ class SearchProxy:
         elif prox_rank:
             # Meilisearch rules chain: words (matched-term count) then
             # proximity (min covering window), proxy ranking as tie-break
-            qterms = self.tokenizer.index_terms(self.tokenizer.tokenize(query))
+            gathered = self.engine.doc_term_positions(
+                [h["doc_id"] for h in out], qterms)
+            lists = [per_doc(g) for g in gathered.values()]
             key = {}
             for i, h in enumerate(out):
-                nm, cost = self.engine.proximity_cost(h["doc_id"], qterms)
-                key[h["doc_id"]] = (-nm, cost, i)
+                held = [pl[i] for pl in lists if pl[i].size]
+                key[h["doc_id"]] = (-len(held), _min_window_cost(held), i)
             out.sort(key=lambda h: key[h["doc_id"]])
             out = out[offset:offset + k]
         else:
             out = out[offset:]
         if options and options.highlight and self.docs_path:
-            qterms = self.tokenizer.index_terms(self.tokenizer.tokenize(query))
             texts = self._doc_texts([h["doc_id"] for h in out])
             for h in out:
                 h["highlight"] = self._highlight_snippet(
@@ -996,7 +1002,6 @@ class SearchProxy:
                 raise ValueError("show_matches_position requires docs_path")
             from ..stages.highlights import extract_spans, merge_spans
 
-            qterms = self.tokenizer.index_terms(self.tokenizer.tokenize(query))
             texts = self._doc_texts([h["doc_id"] for h in out])
             for h in out:
                 spans = merge_spans([
@@ -1060,12 +1065,14 @@ class SearchProxy:
         incoming (proxy-boosted) order is the final tie-break.
 
         All buckets derive from the positional index — document text is
-        never read: per-word direct/typo presence via doc_term_positions,
+        never read. One doc_term_positions gather over all hits reads the
+        query's words; a second reads the typo derivations of the words
+        some hit lacks. From those: per-word direct/typo presence,
         proximity via the min covering window of the direct matches,
         attribute (searchableAttributes order [title, content],
         settings_manager.py:81-86) via the per-doc title_tc token-prefix
-        boundary, exactness via in-order adjacent occurrence of the
-        query's primary-term sequence."""
+        boundary, exactness via phrase_rows — in-order adjacent occurrence
+        of the query's primary-term sequence."""
         from ..kernel.typo import typo_matches
 
         eng = self.engine
@@ -1073,59 +1080,52 @@ class SearchProxy:
         uniq = list(dict.fromkeys(seq))
         if not uniq or not hits:
             return hits
+        ids = [h["doc_id"] for h in hits]
         ttc: dict[int, int] = {}
         if self.docs_path:
             try:
-                fields = self._doc_fields([h["doc_id"] for h in hits],
-                                          ["title_tc"])
+                fields = self._doc_fields(ids, ["title_tc"])
                 ttc = {d: int(v.get("title_tc") or 0)
                        for d, v in fields.items()}
             except Exception:  # pre-v5 docs table: no title boundary
                 ttc = {}
+        gathered = eng.doc_term_positions(ids, uniq)
+        exact_rows = phrase_rows(gathered, seq, len(ids))
+        lists = {t: per_doc(g) for t, g in gathered.items()}
         expand = getattr(eng, "expand_typo", None)
-        exp_cache: dict[str, list[tuple[str, int]]] = {}
+        # (derivation, typo count) per word some hit lacks
+        derivs = {t: [(x, nt) for x in expand(t, 8)
+                      if (nt := typo_matches(t, x))]
+                  for t in uniq
+                  if expand is not None and not gathered[t][0].all()}
+        lists.update((x, per_doc(g)) for x, g in eng.doc_term_positions(
+            ids, [x for c in derivs.values() for x, _ in c]).items())
         keyed = []
         for i, h in enumerate(hits):
-            d = h["doc_id"]
-            boundary = ttc.get(d, 0)
+            boundary = ttc.get(h["doc_id"], 0)
             words = typo = attr = 0
-            direct: list[str] = []
+            direct: list[np.ndarray] = []
             for t in uniq:
-                pos = eng.doc_term_positions(d, t)
-                if pos is not None and len(pos):
+                pos = lists[t][i]
+                if pos.size:
                     words += 1
-                    direct.append(t)
-                    attr += 0 if int(pos.min()) < boundary else 1
+                    direct.append(pos)
+                    attr += 0 if pos[0] < boundary else 1
                     continue
-                if expand is None:
-                    continue
-                if t not in exp_cache:
-                    cands = []
-                    for x in expand(t, 8):
-                        nt = typo_matches(t, x)
-                        if nt:
-                            cands.append((x, nt))
-                    exp_cache[t] = cands
                 best = None
                 best_min = 0
-                for x, nt in exp_cache[t]:
-                    px = eng.doc_term_positions(d, x)
-                    if px is not None and len(px) and (
-                            best is None or nt < best):
-                        best, best_min = nt, int(px.min())
+                for x, nt in derivs.get(t, ()):
+                    px = lists[x][i]
+                    if px.size and (best is None or nt < best):
+                        best, best_min = nt, int(px[0])
                 if best is not None:
                     words += 1
                     typo += best
                     attr += 0 if best_min < boundary else 1
-            if len(direct) >= 2:
-                _, pcost = eng.proximity_cost(d, direct)
-            else:
-                pcost = 0
+            pcost = _min_window_cost(direct)
             exact = 2
             if len(direct) == len(uniq):
-                exact = 1
-                if len(seq) == 1 or self._adjacent_in_order(d, seq):
-                    exact = 0
+                exact = 0 if exact_rows[i] else 1
             if want_details:
                 # Meilisearch showRankingScoreDetails: the chain's per-rule
                 # bucket values, in rule order (these ARE the sort key)
@@ -1141,20 +1141,6 @@ class SearchProxy:
             keyed.append(((-words, typo, pcost, attr, exact, i), h))
         keyed.sort(key=lambda kh: kh[0])
         return [h for _, h in keyed]
-
-    def _adjacent_in_order(self, doc_id: int, seq: list[str]) -> bool:
-        """True when the primary-term sequence occurs at consecutive token
-        positions, in order (the exactness rule's phrase bucket)."""
-        shifted: set[int] | None = None
-        for i, t in enumerate(seq):
-            pos = self.engine.doc_term_positions(doc_id, t)
-            if pos is None or not len(pos):
-                return False
-            s = {int(p) - i for p in pos}
-            shifted = s if shifted is None else (shifted & s)
-            if not shifted:
-                return False
-        return True
 
     def _doc_fields(self, doc_ids: list[int],
                     fields: list[str]) -> dict[int, dict]:

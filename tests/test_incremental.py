@@ -106,6 +106,25 @@ def test_incremental_scores_bit_identical_to_rebuild(incr):
         assert ge.score_topk(terms, k=20, mode="maxscore") == b, terms
 
 
+def test_incremental_positional_rankers_equal_rebuild(incr):
+    """bm25f reads title_tc and token_count newest-generation-wins (a delta
+    doc has its own docs table, an updated doc a new length), and the
+    position gather reads shadow-filtered base segments, whose positions
+    are decoded up front: bm25f, proximity and phrase ranking all equal a
+    rebuild of the merged corpus."""
+    _root, base, ref, _a, _b = incr
+    ge = GenerationalEngine(base)
+    re = SearchEngine(ref)
+    for terms in QUERIES:
+        for w in (1.0, 2.0):
+            assert ge.bm25f_topk(terms, 30, title_weight=w) == \
+                re.bm25f_topk(terms, 30, title_weight=w), (terms, w)
+        assert ge.proximity_topk(terms, 10, pool=1000) == \
+            re.proximity_topk(terms, 10, pool=1000), terms
+        phrase = " ".join(terms)
+        assert ge.phrase_topk(phrase, 30) == re.phrase_topk(phrase, 30), terms
+
+
 def test_incremental_newest_wins(incr):
     """The updated doc scores from its NEW text only."""
     _root, base, _ref, _a, _b = incr

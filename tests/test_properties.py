@@ -194,6 +194,116 @@ def test_scorers_share_one_contribution(case):
     assert eng._score_wand(loaded, k) == want
 
 
+# ------------- position gather (doc_term_positions) vs brute force -------
+
+# ids a few apart just below 2^64: float64 spaces numbers there 2048
+# apart, so an id converted to float64 collides with its neighbours
+_HIGH = (1 << 64) - 64
+
+
+@st.composite
+def _positions_case(draw):
+    """(segments per term, positions per (term, doc), query ids): 1-3
+    terms over a 12-id universe of small ids and ids near 2^64, each
+    term's docs split into doc-disjoint salt segments, some segments
+    pre-decoded as shadow filtering leaves them. Positions reach past
+    2^21. The query ids mix held and absent docs in any order."""
+    from meilisearch_thai_ray.index.codec import encode_positions
+    from meilisearch_thai_ray.index.search import _Segment
+
+    universe = [3, 7, 8, 2 ** 21] + [_HIGH + i for i in range(0, 64, 8)]
+    num_salts = draw(st.integers(1, 3))
+    pos_st = st.one_of(st.integers(0, 12),
+                       st.integers((1 << 21) - 4, (1 << 21) + 4),
+                       st.integers(0, 1 << 22))
+    segs: dict[str, list] = {}
+    truth: dict[tuple[str, int], list[int]] = {}
+    for t in ("a", "b", "c")[:draw(st.integers(1, 3))]:
+        docs = sorted(draw(st.sets(st.sampled_from(universe), min_size=1)))
+        for d in docs:
+            truth[t, d] = sorted(draw(st.sets(pos_st, min_size=1,
+                                              max_size=4)))
+        segs[t] = []
+        for salt in range(num_salts):
+            sd = [d for d in docs if d % num_salts == salt]
+            if not sd:
+                continue
+            ids = np.array(sd, np.uint64)
+            tfs = np.array([len(truth[t, d]) for d in sd], np.uint64)
+            plists = [truth[t, d] for d in sd]
+            seg = _Segment(ids, np.ones(ids.size), ids.astype(np.int64),
+                           np.ones(ids.size), tfs=tfs,
+                           pos_bin=encode_positions(plists, tfs))
+            if draw(st.booleans()):  # decoded up front, raw bytes dropped
+                seg.positions()
+                seg.pos_bin = b""
+            segs[t].append(seg)
+    query = draw(st.permutations(universe + [5, _HIGH + 1, _HIGH + 63]))
+    query = query[:draw(st.integers(0, len(query)))]
+    return segs, truth, query
+
+
+def _positions_engine(segs):
+    from meilisearch_thai_ray.index.search import SearchEngine
+
+    class _Engine(SearchEngine):
+        def __init__(self):  # segments only: no index directory
+            pass
+
+        def segments(self, term):
+            return segs.get(term, [])
+
+    return _Engine()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_positions_case(), st.lists(st.sampled_from("abcz"), min_size=1,
+                                   max_size=4))
+def test_position_gather_matches_brute_force(case, seq):
+    """doc_term_positions equals a per-(doc, term) lookup row for row;
+    phrase_rows over it and phrase_match_docs equal a consecutive-position
+    check per doc; and
+    _min_window_cost over the gather equals it over brute-force lists and
+    the minimum over every choice of one position per list."""
+    import itertools
+
+    from meilisearch_thai_ray.index.search import (_min_window_cost, per_doc,
+                                                   phrase_rows)
+
+    segs, truth, query = case
+    eng = _positions_engine(segs)
+    terms = sorted(segs) + ["z"]  # "z" is held by no doc
+    got = eng.doc_term_positions(query, terms + terms[:1])
+    assert list(got) == terms
+    for t in terms:
+        counts, flat = got[t]
+        want = [truth.get((t, d), []) for d in query]
+        assert counts.tolist() == [len(w) for w in want]
+        assert flat.tolist() == [p for w in want for p in w]
+        assert flat.dtype == np.int64
+    lists = {t: per_doc(got[t]) for t in terms}
+    for i, d in enumerate(query):
+        held = [lists[t][i] for t in terms if lists[t][i].size]
+        brute = [np.array(truth[t, d], np.int64) for t in terms
+                 if (t, d) in truth]
+        cost = _min_window_cost(held)
+        assert cost == _min_window_cost(brute)
+        if len(brute) >= 2:
+            assert cost == min(max(c) - min(c) + 1 for c in
+                               itertools.product(*brute)) - len(brute)
+
+    def holds_phrase(d):
+        return any(all(s + j in truth.get((t, d), ())
+                       for j, t in enumerate(seq))
+                   for s in truth.get((seq[0], d), ()))
+
+    assert phrase_rows(eng.doc_term_positions(query, seq), seq,
+                       len(query)).tolist() == [holds_phrase(d) for d in query]
+    if len(seq) >= 2:
+        assert eng.phrase_match_docs(seq) == sorted(
+            d for d in {d for (_t, d) in truth} if holds_phrase(d))
+
+
 # ---------------------- sketch kernels (pure, no Ray) ----------------------
 
 @settings(max_examples=200, deadline=None)

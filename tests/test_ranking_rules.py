@@ -11,7 +11,8 @@ import pytest
 
 from meilisearch_thai_ray.config import EngineConfig
 from meilisearch_thai_ray.index.build import build_index
-from meilisearch_thai_ray.index.search import SearchEngine
+from meilisearch_thai_ray.index.search import (SearchEngine, _min_window_cost,
+                                              per_doc)
 from meilisearch_thai_ray.pipelines.search_proxy import (SearchOptions,
                                                          SearchProxy)
 
@@ -131,8 +132,11 @@ def test_exactness_orders_phrase_above_scrambled(rules_index):
     # both docs match both words with the same minimal window cost, so
     # words/typo/proximity/attribute all tie — exactness decides
     eng = SearchEngine(out)
-    assert eng.proximity_cost(phrase_doc, ["red", "fox"]) == \
-        eng.proximity_cost(scram_doc, ["red", "fox"])
+    gathered = eng.doc_term_positions([phrase_doc, scram_doc], ["red", "fox"])
+    assert all((counts > 0).all() for counts, _flat in gathered.values())
+    lists = [per_doc(g) for g in gathered.values()]
+    assert _min_window_cost([pl[0] for pl in lists]) == \
+        _min_window_cost([pl[1] for pl in lists])
 
     ranked = [h["doc_id"] for h in proxy.search(
         "red fox", options=SearchOptions(limit=10, ranking_rules=True))]
@@ -162,6 +166,27 @@ def test_bm25f_weight_one_reproduces_bm25(rules_index):
         assert np.isclose(s1, s2, rtol=1e-6), (d1, s1, s2)
 
 
+def _bm25f_per_doc(eng, out, terms, title_weight):
+    """The scalar per-doc, per-term BM25F loop over the pool's docs — the
+    reference for bm25f_topk, which scores all docs per term at once."""
+    docs = pq.read_table(f"{out}/docs", columns=[
+        "doc_id", "title_tc", "token_count"]).to_pylist()
+    meta = {r["doc_id"]: (r["title_tc"] or 0, r["token_count"]) for r in docs}
+    hits = []
+    for d, _ in eng.score_topk(terms, k=100):
+        boundary, dl = meta[d]
+        knorm = eng.k1 * (1.0 - eng.b + eng.b * dl / eng.avgdl)
+        s = 0.0
+        for t, w, idf_t, _segs in eng._weighted(terms):
+            pos = per_doc(eng.doc_term_positions([d], [t])[t])[0].tolist()
+            if pos:
+                tf_title = sum(p < boundary for p in pos)
+                tfw = (len(pos) - tf_title) + title_weight * tf_title
+                s += w * idf_t * tfw * (eng.k1 + 1.0) / (tfw + knorm)
+        hits.append((d, s))
+    return sorted(hits, key=lambda h: (-h[1], h[0]))[:10]
+
+
 def test_bm25f_title_weight_lifts_title_hits(rules_index):
     out, urls = rules_index
     eng = SearchEngine(out)
@@ -173,6 +198,10 @@ def test_bm25f_title_weight_lifts_title_hits(rules_index):
     boosted = [d for d, _ in eng.bm25f_topk(["salmon"], k=10,
                                             title_weight=8.0)]
     assert boosted.index(title_doc) < boosted.index(body_doc)
+    for terms in (["salmon"], ["salmon", "grilled", "salmon"], ["red", "fox"]):
+        for w in (1.0, 2.0, 8.0):
+            assert eng.bm25f_topk(terms, k=10, title_weight=w) == \
+                _bm25f_per_doc(eng, out, terms, w), (terms, w)
 
 
 def test_proxy_frequency_drops_highest_df_word(rules_index):
