@@ -303,6 +303,9 @@ class SearchEngine:
         self._typo_vocab = None  # (terms, dfs, lens, first) built lazily
         self._typodict_ok: bool | None = None  # typodict phase marker cache
         self._typodict_budget: str = "none"  # "max" | "legacy" | "none"
+        # the typodict's open files, each with its row groups' (min, max)
+        # variant stats (None: no stats), read once with the marker
+        self._typodict_files: list = []
 
     # ------------- loading -------------
 
@@ -1055,6 +1058,11 @@ class SearchEngine:
         file) covers arbitrary thresholds — a legacy per-length-budget
         dict would silently miss short-word candidates, so return None
         (vocabulary fallback) instead."""
+        import bisect
+
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
         from ..state.manifest import BuildManifest
 
         d = os.path.join(self.index_dir, "typodict")
@@ -1073,15 +1081,22 @@ class SearchEngine:
                             "budget", "legacy")
                 except (OSError, ValueError):
                     self._typodict_budget = "legacy"
+                for fname in sorted(os.listdir(d)):
+                    if not fname.endswith(".parquet"):
+                        continue
+                    pf = pq.ParquetFile(os.path.join(d, fname))
+                    md = pf.metadata
+                    vi = pf.schema_arrow.get_field_index("variant")
+                    stats = [md.row_group(rg).column(vi).statistics
+                             for rg in range(md.num_row_groups)]
+                    self._typodict_files.append((pf, [
+                        (st.min, st.max)
+                        if st is not None and st.has_min_max else None
+                        for st in stats]))
         if not self._typodict_ok:
             return None
         if require_max_budget and self._typodict_budget != "max":
             return None
-        import bisect
-
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
-
         # explicit row-group pruning on the variant-SORTED layout: a row
         # group matters only if its [min, max] variant range contains one
         # of the query's deletion variants (binary search per group). The
@@ -1089,21 +1104,14 @@ class SearchEngine:
         # 500k-term dictionary (16.9M neighborhood rows) that was ~1.8 s
         # per expansion vs ~ms with the pruned read (BASELINE.md r5).
         tables = []
-        for fname in sorted(os.listdir(d)):
-            if not fname.endswith(".parquet"):
-                continue
-            pf = pq.ParquetFile(os.path.join(d, fname))
-            md = pf.metadata
-            vi = pf.schema_arrow.get_field_index("variant")
+        for pf, ranges in self._typodict_files:
             keep = []
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(vi).statistics
-                if st is None or not st.has_min_max:
-                    keep.append(rg)
-                    continue
-                i = bisect.bisect_left(variants, st.min)
-                if i < len(variants) and variants[i] <= st.max:
-                    keep.append(rg)
+            for rg, mm in enumerate(ranges):
+                if mm is not None:
+                    i = bisect.bisect_left(variants, mm[0])
+                    if i == len(variants) or variants[i] > mm[1]:
+                        continue
+                keep.append(rg)
             if keep:
                 t = pf.read_row_groups(keep,
                                        columns=["variant", "term", "df"])

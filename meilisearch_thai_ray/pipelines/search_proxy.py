@@ -32,6 +32,7 @@ Faithful re-implementation (exact constants) of the reference's query side:
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -294,11 +295,21 @@ class _ClusterText:
 
     def masks(self) -> dict[str, int]:
         if self._masks is None:
-            masks: dict[str, int] = {}
+            # keyed by the counts' own key objects, which it then shares
+            masks = dict.fromkeys(self.counts, 0)
             for j, ch in enumerate(self.text):
-                masks[ch] = masks.get(ch, 0) | (1 << j)
+                masks[ch] |= 1 << j
             self._masks = masks
         return self._masks
+
+    def nbytes(self) -> int:
+        """Bytes it holds once its masks are built, each mask counted at
+        its largest: one bit for every char of a 500-char text."""
+        c = self.counts
+        return (sys.getsizeof(self) + sys.getsizeof(self.text)
+                + 2 * sys.getsizeof(c) + sum(map(sys.getsizeof, c))
+                + sum(map(sys.getsizeof, c.values()))
+                + len(c) * sys.getsizeof((1 << 500) - 1))
 
 
 def _ratio_of(matches: int, length: int) -> float:
@@ -318,21 +329,36 @@ def _multiset_bound(a: _ClusterText, b: _ClusterText) -> float:
                      len(a.text) + len(b.text))
 
 
+_LCS_CHECK_ROWS = 32
+
+
 def _lcs_bound(a: _ClusterText, b: _ClusterText) -> float:
     """2*LCS/(la+lb), the LCS by the bit-parallel Allison-Dix/Hyyro
     recurrence.  v holds one DP row over b as its steps: bit j is 0 where
     LCS(a-prefix read so far, b[:j+1]) exceeds LCS(.., b[:j]), so after
-    the last character of a the zero bits of v count LCS(a, b)."""
-    lb = len(b.text)
+    the last character of a the zero bits of v count LCS(a, b).
+
+    After i characters of a, LCS(a, b) <= (lb - popcount(v)) + (la - i):
+    each character left can add at most one match.  Every
+    _LCS_CHECK_ROWS rows that bound's ratio is checked, and returned as
+    soon as it falls below SIMILARITY_THRESHOLD; it is still >= ratio(),
+    so a pair it rules out is one the full LCS rules out too."""
+    la, lb = len(a.text), len(b.text)
     full = (1 << lb) - 1
     masks = b.masks()
     v = full
-    for ch in a.text:
-        m = masks.get(ch)
-        if m:
-            u = v & m
-            v = ((v + u) | (v - u)) & full
-    return _ratio_of(lb - v.bit_count(), len(a.text) + lb)
+    for i in range(0, la, _LCS_CHECK_ROWS):
+        for ch in a.text[i:i + _LCS_CHECK_ROWS]:
+            m = masks.get(ch)
+            if m:
+                u = v & m
+                v = ((v + u) | (v - u)) & full
+        left = la - i - _LCS_CHECK_ROWS
+        if left > 0:
+            r = _ratio_of(lb - v.bit_count() + left, la + lb)
+            if r < SIMILARITY_THRESHOLD:
+                return r
+    return _ratio_of(lb - v.bit_count(), la + lb)
 
 
 _RATIO_BOUNDS = (_length_bound, _multiset_bound, _lcs_bound)  # cheapest first
@@ -348,6 +374,44 @@ def _near_duplicate(a: _ClusterText, b: _ClusterText) -> bool:
 
     return SequenceMatcher(None, a.text, b.text).ratio() >= \
         SIMILARITY_THRESHOLD
+
+
+class _DocText:
+    """One doc's text with what the proxy's stages derive from it, each
+    computed once per doc: the lowered text for the exact-match boost and
+    the phrase check (the same object when lower() changes nothing), and
+    the clustering text of its first 500 chars, which
+    SearchProxy._cluster_text builds on first use."""
+
+    __slots__ = ("text", "lower", "cluster")
+
+    def __init__(self, text: str):
+        self.text = text
+        lower = text.lower()
+        self.lower = text if lower == text else lower
+        self.cluster: _ClusterText | None = None
+
+    def nbytes(self) -> int:
+        """Bytes of the record, its text and its lowered copy."""
+        n = sys.getsizeof(self) + sys.getsizeof(self.text)
+        return n + (sys.getsizeof(self.lower)
+                    if self.lower is not self.text else 0)
+
+
+_NO_TEXT = _DocText("")  # a doc absent from the docs table
+_NO_TEXT.cluster = _ClusterText("")
+
+# Bytes the proxy's doc cache may hold: records with their texts and
+# lowered copies, their doc-id keys, the dict, and the clustering texts
+# built so far (sys.getsizeof; _ClusterText.nbytes).  Past it the
+# clustering texts are dropped first, as a rebuild costs microseconds and
+# a text a parquet read, and the records too once they alone fill it.
+# The cache this replaced held up to 50,000 bare texts: 153.5 MB with
+# keys and dict at the perfbench fixture's mean of 3.0 KB a text.  There a
+# record is 3.6 KB (15% of texts need a lowered copy), so about 40,000
+# texts fit, and a clustering text counts 13.6 KB.  By bytes the bound
+# holds for any text size.
+DOC_CACHE_BYTES = 150_000_000
 
 
 class SearchProxy:
@@ -382,19 +446,32 @@ class SearchProxy:
                 self.synonyms.setdefault(w, set()).update(group - {w})
         self._tok = None
         self._watcher = None  # ST6 hot reload, opt-in via enable_hot_reload()
-        self._text_cache: dict[int, str] = {}
+        self._doc_cache: dict[int, _DocText] = {}
+        self._text_bytes = 0  # of the records and keys, not the dict
+        self._clustered: list[_DocText] = []  # records with a cluster text
+        self._cluster_bytes = 0
 
-    def _doc_texts(self, doc_ids: list[int]) -> dict[int, str]:
-        """Fetch doc texts for exact-match boosts / content tie-breaks via a
-        targeted filtered parquet read (only when docs_path is configured);
-        LRU-ish cached per proxy."""
+    def _doc_texts(self, doc_ids: list[int]) -> dict[int, _DocText]:
+        """Doc records (text, lowered text, clustering text) for the
+        exact-match boost, clustering, highlighting and phrase checks, via
+        one targeted filtered parquet read of the ids not cached yet (only
+        when docs_path is configured).  Cached per proxy across requests,
+        evicted past DOC_CACHE_BYTES."""
         if not self.docs_path:
             return {}
-        if len(self._text_cache) > 50_000:
+        size = self._text_bytes + sys.getsizeof(self._doc_cache)
+        if size + self._cluster_bytes > DOC_CACHE_BYTES:
             # evict BEFORE deciding what to fetch — clearing after would drop
             # already-cached entries the current request still needs
-            self._text_cache.clear()
-        missing = [d for d in doc_ids if d not in self._text_cache]
+            if size > DOC_CACHE_BYTES:
+                self._doc_cache.clear()
+                self._text_bytes = 0
+            else:
+                for rec in self._clustered:
+                    rec.cluster = None
+            self._clustered.clear()
+            self._cluster_bytes = 0
+        missing = [d for d in doc_ids if d not in self._doc_cache]
         if missing:
             import pyarrow.compute as pc
             import pyarrow.dataset as pads
@@ -403,8 +480,23 @@ class SearchProxy:
                 columns=["doc_id", "text"],
                 filter=pc.field("doc_id").isin(missing),
             )
-            self._text_cache.update(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
-        return {d: self._text_cache[d] for d in doc_ids if d in self._text_cache}
+            for d, text in zip(t["doc_id"].to_pylist(),
+                               t["text"].to_pylist()):
+                rec = self._doc_cache[d] = _DocText(text)
+                self._text_bytes += sys.getsizeof(d) + rec.nbytes()
+        return {d: self._doc_cache[d] for d in doc_ids
+                if d in self._doc_cache}
+
+    def _cluster_text(self, doc_id: int) -> _ClusterText:
+        """The doc's clustering text, its first 500 chars, kept on its
+        cached record and counted toward DOC_CACHE_BYTES."""
+        rec = self._doc_texts([doc_id]).get(doc_id, _NO_TEXT)
+        if rec.cluster is None:
+            ct = rec.cluster = _ClusterText(rec.text[:500])
+            self._clustered.append(rec)
+            self._cluster_bytes += ct.nbytes() - (
+                sys.getsizeof(ct.text) if ct.text is rec.text else 0)
+        return rec.cluster
 
     def negative_doc_ids(self, words: list[str],
                          phrases: list[str]) -> set[int]:
@@ -815,8 +907,8 @@ class SearchProxy:
                 score *= variant.weight * 1.0  # variant boost (weight_factor=1.0)
                 if analysis["thai_content_ratio"] > 0.5:
                     score *= boost_thai
-                text = texts.get(doc_id)
-                if text is not None and qlower and qlower in text.lower():
+                rec = texts.get(doc_id, _NO_TEXT)
+                if qlower and qlower in rec.lower:
                     score *= boost_exact
                 if variant.variant_type == COMPOUND_SPLIT:
                     score *= BOOST_COMPOUND
@@ -827,7 +919,7 @@ class SearchProxy:
                 score = min(score, 1.0)
                 candidates.append(
                     ({"doc_id": doc_id, "raw_score": raw,
-                      "content_length": len(text) if text is not None else 0},
+                      "content_length": len(rec.text)},
                      score, variant, pos)
                 )
 
@@ -936,9 +1028,7 @@ class SearchProxy:
                 # are capped (max_similarity_comparisons) and count every
                 # pair considered, including those _near_duplicate's bounds
                 # rule out without a ratio()
-                cand = _ClusterText(self._doc_texts([hit["doc_id"]]).get(
-                    hit["doc_id"], ""
-                )[:500])
+                cand = self._cluster_text(hit["doc_id"])
                 dup = False
                 if cand.text:
                     for acc in accepted:
@@ -994,7 +1084,7 @@ class SearchProxy:
             texts = self._doc_texts([h["doc_id"] for h in out])
             for h in out:
                 h["highlight"] = self._highlight_snippet(
-                    texts.get(h["doc_id"], ""), qterms,
+                    texts.get(h["doc_id"], _NO_TEXT).text, qterms,
                     options.crop_length, options.crop_marker,
                 )
         if options and options.show_matches_position:
@@ -1005,8 +1095,8 @@ class SearchProxy:
             texts = self._doc_texts([h["doc_id"] for h in out])
             for h in out:
                 spans = merge_spans([
-                    s for s in extract_spans(texts.get(h["doc_id"], ""),
-                                             qterms)
+                    s for s in extract_spans(
+                        texts.get(h["doc_id"], _NO_TEXT).text, qterms)
                     if s.kind == "exact"])
                 h["_matchesPosition"] = {"text": [
                     {"start": s.start, "length": s.end - s.start}
@@ -1354,7 +1444,8 @@ class SearchProxy:
             if not cands:
                 return []
             texts = self._doc_texts([d for d, _ in cands])
-            out = [(d, s) for d, s in cands if p in texts.get(d, "").lower()]
+            out = [(d, s) for d, s in cands
+                   if p in texts.get(d, _NO_TEXT).lower]
             if len(out) >= k or len(cands) < cap:
                 return out[:k]  # enough hits, or every AND candidate checked
             cap *= 4

@@ -9,9 +9,11 @@ a map_batches over the final hit set, never over the corpus.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 FUZZY_MIN_CONFIDENCE = 0.6  # result_enhancer.py:460-487
+_TOKEN = re.compile(r"\S+")
 
 
 @dataclass
@@ -25,7 +27,11 @@ class Span:
 
 def extract_spans(text: str, terms: list[str],
                   compound_parts: dict[str, list[str]] | None = None) -> list[Span]:
-    """All match spans of query terms in text (exact, compound-part, fuzzy)."""
+    """All match spans of query terms in text (exact, compound-part, fuzzy).
+
+    Offsets index text.lower().  The fuzzy pass compares each term with the
+    whitespace-separated tokens of the lowered text, split once per text:
+    the \\S+ runs, which end exactly where str.isspace() does."""
     spans: list[Span] = []
     lowered = text.lower()
     for term in terms:
@@ -49,35 +55,25 @@ def extract_spans(text: str, terms: list[str],
                 spans.append(Span(i, i + len(p), part, "compound_part", 0.8))
                 start = i + 1
     # fuzzy: term contained in a longer token or vice versa
+    tokens = None
     for term in terms:
         t = term.lower()
         if len(t) < 3:
             continue
-        for tok_start, tok in _tokens_with_offsets(lowered):
+        if tokens is None:
+            tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(lowered)]
+        for tok_start, tok in tokens:
             if t == tok:
                 continue
             if t in tok:
                 conf = len(t) / len(tok)
-            elif tok and tok in t:
+            elif tok in t:
                 conf = len(tok) / len(t)
             else:
                 continue
             if conf >= FUZZY_MIN_CONFIDENCE:
                 spans.append(Span(tok_start, tok_start + len(tok), term, "fuzzy", conf))
     return merge_spans(spans)
-
-
-def _tokens_with_offsets(text: str):
-    start = None
-    for i, c in enumerate(text):
-        if c.isspace():
-            if start is not None:
-                yield start, text[start:i]
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        yield start, text[start:]
 
 
 def merge_spans(spans: list[Span]) -> list[Span]:

@@ -1,9 +1,14 @@
 """Query-proxy layer tests (M12-M16 + D2 semantics, reference constants)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meilisearch_thai_ray.config import EngineConfig
-from meilisearch_thai_ray.fixtures.pages import write_pages_parquet
+from meilisearch_thai_ray.fixtures.pages import (
+    generate_pages,
+    write_pages_parquet,
+)
 from meilisearch_thai_ray.index.build import build_index
 from meilisearch_thai_ray.index.search import SearchEngine
 from meilisearch_thai_ray.pipelines.search_proxy import (
@@ -129,7 +134,7 @@ def test_exact_match_boost_with_docs_path(proxy, tmp_path_factory):
     assert hits
     # at least the top hit contains the literal query in its text
     texts = p._doc_texts([hits[0]["doc_id"]])
-    assert "สาหร่ายวากาเมะ" in texts[hits[0]["doc_id"]]
+    assert "สาหร่ายวากาเมะ" in texts[hits[0]["doc_id"]].text
     # determinism with text fetching on
     assert hits == p.search("สาหร่ายวากาเมะ", k=10)
 
@@ -146,11 +151,12 @@ def test_phrase_search(proxy):
     hits = p.search_phrase("สาหร่ายวากาเมะเป็นอาหารทะเล", k=5)
     assert hits
     texts = p._doc_texts([hits[0][0]])
-    assert "สาหร่ายวากาเมะเป็นอาหารทะเล" in texts[hits[0][0]]
+    assert "สาหร่ายวากาเมะเป็นอาหารทะเล" in texts[hits[0][0]].text
     # scrambled word order has the same terms but must NOT match as a phrase
     scrambled = p.search_phrase("อาหารทะเลเป็นสาหร่ายวากาเมะ", k=5)
     assert all(
-        "อาหารทะเลเป็นสาหร่ายวากาเมะ" in p._doc_texts([d])[d] for d, _ in scrambled
+        "อาหารทะเลเป็นสาหร่ายวากาเมะ" in p._doc_texts([d])[d].text
+        for d, _ in scrambled
     )
     with pytest.raises(ValueError):
         proxy.search_phrase("x")  # no docs_path configured
@@ -273,7 +279,7 @@ def test_phrase_search_grows_past_initial_candidate_cap(ray_session, tmp_path):
     hits = p.search_phrase("alphaz betaz", k=5)
     assert len(hits) == 1  # found despite ranking 131st in the AND candidates
     texts_found = p._doc_texts([hits[0][0]])
-    assert "alphaz betaz" in texts_found[hits[0][0]]
+    assert "alphaz betaz" in texts_found[hits[0][0]].text
 
 # ---------------- per-request SearchOptions ----------------
 
@@ -723,45 +729,139 @@ def _bound_pairs() -> list[tuple[str, str]]:
     return [(a[:500], b[:500]) for a, b in pairs]
 
 
-def _lcs_dp(a: str, b: str) -> int:
-    prev = [0] * (len(b) + 1)
+def _lcs_dp(a: str, b: str) -> list[int]:
+    """LCS(a[:i], b) for i = 0..len(a), by the textbook DP row recurrence
+    cur[j+1] = prev[j] + 1 if a[i] == b[j] else max(prev[j+1], cur[j]),
+    one row at a time as a running max (on a match prev[j] + 1 is never
+    below prev[j+1] or cur[j])."""
+    import numpy as np
+
+    bb = np.array([ord(c) for c in b], dtype=np.int64)
+    prev = np.zeros(len(b) + 1, dtype=np.int64)
+    rows = [0]
     for ca in a:
-        cur = [0]
-        for j, cb in enumerate(b):
-            cur.append(prev[j] + 1 if ca == cb else max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+        cand = np.maximum(prev[1:], np.where(bb == ord(ca), prev[:-1] + 1, 0))
+        prev = np.concatenate(([0], np.maximum.accumulate(cand)))
+        rows.append(int(prev[-1]))
+    return rows
+
+
+def _lcs_to_completion(ta, tb) -> float:
+    """_lcs_bound with every row read before any check: with one chunk
+    longer than any text it never exits early."""
+    from unittest import mock
+
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    with mock.patch.object(sp, "_LCS_CHECK_ROWS", 1 << 30):
+        return sp._lcs_bound(ta, tb)
+
+
+def _check_lcs_bound(a: str, b: str) -> None:
+    """The LCS bound run to completion is the DP LCS ratio.  Stopped early
+    it is the first checked row bound (matches so far + characters of a
+    left) whose ratio is below the threshold, so still >= the DP ratio,
+    and it stops only on pairs the DP ratio puts below the threshold."""
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    rows = _lcs_dp(a, b)
+    la, lb = len(a), len(b)
+    dp = sp._ratio_of(rows[-1], la + lb)
+    want, stopped = dp, False
+    for i in range(sp._LCS_CHECK_ROWS, la, sp._LCS_CHECK_ROWS):
+        r = sp._ratio_of(rows[i] + la - i, la + lb)
+        if r < sp.SIMILARITY_THRESHOLD:
+            want, stopped = r, True
+            break
+    ta, tb = sp._ClusterText(a), sp._ClusterText(b)
+    assert _lcs_to_completion(ta, tb) == dp
+    got = sp._lcs_bound(ta, tb)
+    assert got == want, (a[:40], b[:40], got, want)
+    assert got >= dp
+    if stopped:
+        assert dp < sp.SIMILARITY_THRESHOLD
 
 
 def test_cluster_bounds_are_exact_upper_bounds_of_ratio():
     """Each bound is >= SequenceMatcher.ratio() (so a pair it rules out is
-    never a near-duplicate), the cascade is ordered cheapest-loosest first,
-    and _near_duplicate decides every pair as ratio() alone does."""
+    never a near-duplicate), the length and multiset bounds are difflib's
+    own quick ratios, _near_duplicate decides every pair as ratio() alone
+    does, and the LCS bound stops early only as _check_lcs_bound allows."""
     from difflib import SequenceMatcher
 
     from meilisearch_thai_ray.pipelines import search_proxy as sp
 
     pairs = _bound_pairs()
-    ratios = []
+    ratios, stopped = [], 0
     for a, b in pairs:
         ta, tb = sp._ClusterText(a), sp._ClusterText(b)
         matcher = SequenceMatcher(None, a, b)
         r = matcher.ratio()
         bounds = [bound(ta, tb) for bound in sp._RATIO_BOUNDS]
         assert all(x >= r for x in bounds), (a[:40], b[:40], bounds, r)
-        assert bounds == sorted(bounds, reverse=True)
         assert bounds[0] == matcher.real_quick_ratio()
         assert bounds[1] == matcher.quick_ratio()
         assert sp._near_duplicate(ta, tb) == (r >= sp.SIMILARITY_THRESHOLD)
         ratios.append(r)
+        _check_lcs_bound(a, b)
+        stopped += bounds[2] != _lcs_to_completion(ta, tb)
     # pairs close to both sides of the threshold
     assert any(0.85 <= r < 0.88 for r in ratios)
     assert any(0.82 <= r < 0.85 for r in ratios)
-    # the bit-parallel LCS is the LCS
-    for a, b in pairs[::9]:
-        a, b = a[:120], b[:120]
-        got = sp._lcs_bound(sp._ClusterText(a), sp._ClusterText(b))
-        assert got == sp._ratio_of(_lcs_dp(a, b), len(a) + len(b))
+    assert stopped > 0
+
+
+_THAI_PAGES = generate_pages(8, seed=7, lines_range=(20, 50))["text"] \
+    .to_pylist()
+
+
+@st.composite
+def _lcs_pairs(draw):
+    """(a, b) of at most 500 chars over a 2-4-letter alphabet or cut from
+    Thai fixture pages: b with random edits, an unrelated text, or a run of
+    a letter b lacks followed by a subsequence of b, for which every row
+    bound checked past the run equals the final LCS (no slack to hide an
+    off-by-one in the characters-left term)."""
+    import random
+
+    source = draw(st.sampled_from(["ab", "abc", "abcd", "thai"]))
+    if source == "thai":
+        page = draw(st.sampled_from(_THAI_PAGES))
+        at = draw(st.integers(0, len(page)))
+        b = page[at:at + draw(st.integers(0, 500))]
+        alphabet = "".join(sorted(set(page)))
+    else:
+        alphabet = source
+        b = draw(st.text(alphabet=alphabet, max_size=400))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    shape = draw(st.sampled_from(["edit", "unrelated", "run"]))
+    if shape == "edit":
+        a = _edit(rng, b, draw(st.integers(0, 150)), alphabet)
+    elif shape == "unrelated":
+        a = "".join(rng.choice(alphabet)
+                    for _ in range(draw(st.integers(0, 400))))
+    else:
+        keep = draw(st.floats(0.5, 1.0))
+        a = "\0" * draw(st.integers(0, 120)) + "".join(
+            c for c in b if rng.random() < keep)
+    if shape != "run" and draw(st.booleans()):
+        a, b = b, a
+    return a[:500], b[:500]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lcs_pairs())
+def test_lcs_bound_early_exit_property(pair):
+    """_check_lcs_bound on generated pairs, and the pruned cascade decides
+    as ratio() does."""
+    from difflib import SequenceMatcher
+
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    a, b = pair
+    _check_lcs_bound(a, b)
+    assert sp._near_duplicate(sp._ClusterText(a), sp._ClusterText(b)) == (
+        SequenceMatcher(None, a, b).ratio() >= sp.SIMILARITY_THRESHOLD)
 
 
 # the request shapes of the proxy benchmark (perfbench/bench_inputs.py)
@@ -817,7 +917,14 @@ def _assert_clustering_matches_brute_force(monkeypatch, eng, docs_path,
     same order as the reference loop run over the same request's
     unclustered hits.  The rules chain reorders the clustered list after
     clustering, so it is taken out here to compare the clustering itself.
+    Each request runs on a fresh proxy, then again on one proxy reused
+    over every request in two seeded orders, so its doc cache serves texts,
+    lowered texts and clustering texts fetched by earlier requests, and
+    once more under cache budgets that make it evict.
     -> (duplicates dropped, requests whose answer the cap changed)."""
+    import random
+    import sys
+
     import pyarrow.parquet as pq
 
     from meilisearch_thai_ray.pipelines import search_proxy as sp
@@ -829,15 +936,16 @@ def _assert_clustering_matches_brute_force(monkeypatch, eng, docs_path,
     docs = pq.read_table(docs_path, columns=["doc_id", "text"])
     texts = dict(zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()))
 
-    def run(q, shape, limit, cluster):
+    def run(q, shape, limit, cluster, proxy=None):
         fmt, opts = _SHAPES[shape]
-        proxy = SearchProxy(eng, docs_path=docs_path,
-                            enable_content_similarity_dedup=cluster)
+        proxy = proxy or SearchProxy(eng, docs_path=docs_path,
+                                     enable_content_similarity_dedup=cluster)
         hits = proxy.search(fmt.format(q=q, neg=neg),
                             options=sp.SearchOptions(limit=limit, **opts))
         return [h["doc_id"] for h in hits]
 
     dups = capped = 0
+    wants = {}
     for q in queries:
         for shape in _SHAPES:
             walked = run(q, shape, 100, cluster=False)
@@ -847,6 +955,24 @@ def _assert_clustering_matches_brute_force(monkeypatch, eng, docs_path,
             dups += n
             capped += want != _reference_cluster(walked, texts, 1 << 30,
                                                  10)[0]
+            wants[q, shape] = want
+    warm = SearchProxy(eng, docs_path=docs_path)
+    for seed in (1, 2):
+        order = list(wants)
+        random.Random(seed).shuffle(order)
+        for q, shape in order:
+            assert run(q, shape, 10, True, warm) == wants[q, shape], \
+                (seed, q, shape)
+    # again over a cache too small for it: at a budget the cached texts
+    # just fill, each read drops the clustering texts and keeps the texts;
+    # at 0 it drops everything
+    n = len(warm._doc_cache)
+    for budget in (warm._text_bytes + sys.getsizeof(warm._doc_cache), 0):
+        monkeypatch.setattr(sp, "DOC_CACHE_BYTES", budget)
+        for q, shape in order:
+            assert run(q, shape, 10, True, warm) == wants[q, shape], \
+                (budget, q, shape)
+        assert (len(warm._doc_cache) == n) == (budget > 0)
     return dups, capped
 
 

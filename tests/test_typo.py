@@ -151,14 +151,28 @@ def test_engine_short_words_get_no_expansion(typo_engine):
     assert typo_engine.expand_typo("abc") == []
 
 
-def test_typodict_path_identical_to_inmemory(typo_engine, tmp_path):
+def test_typodict_path_identical_to_inmemory(typo_engine, tmp_path,
+                                             monkeypatch):
     """Building the SymSpell typodict must not change a single expansion:
     the pruned-range-read path and the in-memory prefilter path return
     IDENTICAL ranked lists for every 5+ char vocabulary term and a planted
-    typo of each."""
+    typo of each.  The engine opens each typodict file once, not once per
+    expansion."""
+    import os
+
+    import pyarrow.parquet as pq
+
     from meilisearch_thai_ray.index.build import build_typo_index
 
     build_typo_index(typo_engine.index_dir)
+    opened = []
+    real_parquet_file = pq.ParquetFile
+
+    def counting_parquet_file(path, *args, **kwargs):
+        opened.append(path)
+        return real_parquet_file(path, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "ParquetFile", counting_parquet_file)
     with_dict = SearchEngine(typo_engine.index_dir)
     assert with_dict._typodict_candidates(["anything"]) is not None
 
@@ -177,6 +191,9 @@ def test_typodict_path_identical_to_inmemory(typo_engine, tmp_path):
         typo_engine._typodict_ok = False
         via_mem = typo_engine.expand_typo(q, limit=20)
         assert via_dict == via_mem, q
+    d = os.path.join(typo_engine.index_dir, "typodict")
+    assert sorted(opened) == sorted(
+        os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
 
 
 def test_typodict_serves_custom_thresholds(typo_engine, tmp_path):
