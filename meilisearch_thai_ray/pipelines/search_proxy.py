@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,43 +272,99 @@ class SearchOptions:
 # ------------------------------------------------ D3 near-duplicate bounds
 #
 # SequenceMatcher(None, a, b).ratio() is 2*M/(la+lb), where M is the total
-# size of its matching blocks.  Those blocks are equal, ordered and
-# non-overlapping in both texts, so they form a common subsequence:
-# M <= LCS(a, b) <= (shared character multiset) <= min(la, lb).  Each bound
-# below puts one of those numerators over the same denominator with the
-# same arithmetic as difflib, so in floating point too it is >= ratio(): a
-# pair whose bound is below the threshold cannot be a near-duplicate, and
-# only pairs no bound rules out pay for the full ratio().
+# size of its matching blocks and b is the accepted text
+# (_near_duplicate(cand, acc)).  Each bound below puts an upper bound on M
+# over the same denominator with the same arithmetic as difflib, so in
+# floating point too it is >= ratio(): a pair whose bound is below the
+# threshold cannot be a near-duplicate, and only pairs no bound rules out
+# pay for the full ratio().  Cheapest first:
+#
+# * length: M <= min(la, lb) (= real_quick_ratio()).
+# * block: M <= S2 + NP + 1, where S2 is the number of bigram occurrences
+#   a and b share (multiset intersection) and NP the shared count of the
+#   characters not popular in b.  With autojunk on (the default) and
+#   lb >= 200, a character is popular when its count in b exceeds
+#   lb // 100 + 1; below 200 characters none is.  Proof, for the n blocks
+#   of sizes s_i that get_matching_blocks() finds:
+#   1. The blocks are disjoint common substrings, so they hold
+#      sum(s_i - 1) = M - n distinct shared bigram occurrences: S2 >= M - n.
+#   2. find_longest_match seeds each block from b2j, which holds no
+#      popular character: the seed is a chain of b2j matches, and the block
+#      then grows on both ends over any equal characters.  So a block with
+#      a non-empty seed holds at least one matched character not popular
+#      in b, and the blocks being disjoint, there are at most NP of them.
+#   3. A block with an empty seed is the common prefix of its sub-range.
+#      Every right sub-range starts at a mismatch and a left one where its
+#      parent starts, so that prefix is empty unless the sub-range starts
+#      at (0, 0).  Those sub-ranges form one chain of left sub-ranges from
+#      the whole range, and a block at its sub-range's start queues no left
+#      sub-range, so at most one such block is non-empty.
+#   4. So n <= NP + 1 and M <= S2 + NP + 1.  get_matching_blocks() then
+#      merges adjacent blocks, which keeps M and only lowers n.
+#   Each text keeps three rows of counts hashed into _BINS bins: its
+#   characters, its bigrams and its characters not popular in it.  It is
+#   the a side through its (bigram, character) rows and the b side through
+#   its (bigram, non-popular character) rows.  The minimum of two sums is
+#   >= the sum of their minima, so the per-bin minimum of the two sides,
+#   summed, is >= S2 + NP: one numpy min-sum.
+# * LCS: the blocks are equal, ordered and non-overlapping in both texts, so
+#   they form a common subsequence: M <= LCS(a, b).
+
+_BINS = 1024  # per hashed row; a power of two for Fibonacci hashing
+_BIGRAM_SHIFT = np.uint64(64 - (_BINS - 1).bit_length())  # keeps top bits
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, odd
+
 
 class _ClusterText:
-    """A clustering text with the per-text parts of the bounds: its
-    character counts, and (built on first use) the per-character position
-    bitmasks the LCS bound reads on its b side."""
+    """A clustering text (at most 500 chars in the proxy, so its counts
+    and their sums fit int16) with the per-text parts of the bounds: one
+    (3, _BINS) count array with rows [characters, bigrams, non-popular
+    characters], read as its a side (rows 1, 0) and its b side (rows 1, 2)
+    so both share the bigram row, and (built on first use) the
+    per-character position bitmasks the LCS bound reads on its b side."""
 
-    __slots__ = ("text", "counts", "_masks")
+    __slots__ = ("text", "n_chars", "as_a", "as_b", "_masks")
 
     def __init__(self, text: str):
         self.text = text
-        self.counts = Counter(text)
+        # UTF-32 gives one code unit per str element, non-BMP characters
+        # and lone surrogates included
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                              np.uint32)
+        chars, counts = np.unique(codes, return_counts=True)
+        self.n_chars = len(chars)
+        char_bin = chars % _BINS
+        wide = codes.astype(np.uint64)  # a code point fits 21 bits
+        bigram_bin = ((wide[:-1] << np.uint64(21) | wide[1:]) * _FIBONACCI
+                      >> _BIGRAM_SHIFT).astype(np.intp)
+        rows = np.empty((3, _BINS), np.int16)
+        rows[0] = np.bincount(char_bin, counts, _BINS)
+        rows[1] = np.bincount(bigram_bin, minlength=_BINS)
+        if len(text) >= 200:  # difflib's autojunk
+            counts = np.where(counts > len(text) // 100 + 1, 0, counts)
+        rows[2] = np.bincount(char_bin, counts, _BINS)
+        self.as_a = rows[1::-1]
+        self.as_b = rows[1:]
         self._masks: dict[str, int] | None = None
 
     def masks(self) -> dict[str, int]:
         if self._masks is None:
-            # keyed by the counts' own key objects, which it then shares
-            masks = dict.fromkeys(self.counts, 0)
+            masks: dict[str, int] = {}
             for j, ch in enumerate(self.text):
-                masks[ch] |= 1 << j
+                masks[ch] = masks.get(ch, 0) | 1 << j
             self._masks = masks
         return self._masks
 
     def nbytes(self) -> int:
-        """Bytes it holds once its masks are built, each mask counted at
-        its largest: one bit for every char of a 500-char text."""
-        c = self.counts
+        """Bytes it holds once its masks are built, each key counted at
+        its largest (a non-BMP character) and each mask too: one bit for
+        every char of a 500-char text."""
         return (sys.getsizeof(self) + sys.getsizeof(self.text)
-                + 2 * sys.getsizeof(c) + sum(map(sys.getsizeof, c))
-                + sum(map(sys.getsizeof, c.values()))
-                + len(c) * sys.getsizeof((1 << 500) - 1))
+                + sys.getsizeof(self.as_a.base) + sys.getsizeof(self.as_a)
+                + sys.getsizeof(self.as_b)
+                + sys.getsizeof(dict.fromkeys(range(self.n_chars)))
+                + self.n_chars * (sys.getsizeof("\U0010ffff")
+                                  + sys.getsizeof((1 << 500) - 1)))
 
 
 def _ratio_of(matches: int, length: int) -> float:
@@ -323,10 +378,10 @@ def _length_bound(a: _ClusterText, b: _ClusterText) -> float:
     return _ratio_of(min(la, lb), la + lb)
 
 
-def _multiset_bound(a: _ClusterText, b: _ClusterText) -> float:
-    """= SequenceMatcher.quick_ratio()."""
-    return _ratio_of((a.counts & b.counts).total(),
-                     len(a.text) + len(b.text))
+def _block_bound(a: _ClusterText, b: _ClusterText) -> float:
+    """2*(S2 + NP + 1)/(la+lb), S2 + NP from the hashed count rows."""
+    shared = np.minimum(a.as_a, b.as_b).sum(dtype=np.int16)
+    return _ratio_of(int(shared) + 1, len(a.text) + len(b.text))
 
 
 _LCS_CHECK_ROWS = 32
@@ -361,7 +416,7 @@ def _lcs_bound(a: _ClusterText, b: _ClusterText) -> float:
     return _ratio_of(lb - v.bit_count(), la + lb)
 
 
-_RATIO_BOUNDS = (_length_bound, _multiset_bound, _lcs_bound)  # cheapest first
+_RATIO_BOUNDS = (_length_bound, _block_bound, _lcs_bound)  # cheapest first
 
 
 def _near_duplicate(a: _ClusterText, b: _ClusterText) -> bool:
@@ -409,8 +464,9 @@ _NO_TEXT.cluster = _ClusterText("")
 # The cache this replaced held up to 50,000 bare texts: 153.5 MB with
 # keys and dict at the perfbench fixture's mean of 3.0 KB a text.  There a
 # record is 3.6 KB (15% of texts need a lowered copy), so about 40,000
-# texts fit, and a clustering text counts 13.6 KB.  By bytes the bound
-# holds for any text size.
+# texts fit, and a clustering text counts 18.3 KB: 6.5 KB of count rows,
+# 1.1 KB of text and, at their largest, 10.7 KB of LCS masks and their
+# dict.  By bytes the bound holds for any text size.
 DOC_CACHE_BYTES = 150_000_000
 
 
@@ -824,6 +880,15 @@ class SearchProxy:
     def search(self, query: str, k: int = 10,
                session_id: str | None = None,
                options: SearchOptions | None = None) -> list[dict]:
+        return self._search(query, k, session_id, options)
+
+    def _search(self, query: str, k: int, session_id: str | None,
+                options: SearchOptions | None, prepared=None) -> list[dict]:
+        """The body of search().  `prepared` is _prepare's tuple for
+        `query` under `options` when the caller has it already; it is used
+        unless negative terms or quoted phrases are stripped from the query
+        first, as the search then prepares what is left."""
+        raw = query
         if options is not None:
             k = options.limit
         offset = options.offset if options else 0
@@ -854,11 +919,14 @@ class SearchProxy:
                                       else phrase_allowed & s)
                     if not phrase_allowed:
                         return []
-        analysis, _tokens, confidence, variants = self._prepare(
-            query,
-            max_variants=options.max_query_variants if options else None,
-            enable_compound=options.enable_compound_search if options else True,
-        )
+        if prepared is None or query != raw:
+            prepared = self._prepare(
+                query,
+                max_variants=options.max_query_variants if options else None,
+                enable_compound=(options.enable_compound_search if options
+                                 else True),
+            )
+        analysis, _tokens, confidence, variants = prepared
 
         # per-variant matchingStrategy (search_executor.py:731-753):
         # original -> "all", tokenized/compound_split -> "last",
@@ -1112,21 +1180,21 @@ class SearchProxy:
         """SearchRequest.include_tokenization_info=True analog: hits plus
         the reference's TokenizationInfo block (responses.py:61-73) —
         engine, timing, tokens, fallback engines, confidence, and token
-        shape stats. The info derives from its own _prepare pass (the
-        same kernel search() runs), so the numbers describe exactly what
-        the search used."""
+        shape stats. The info describes the _prepare pass of the whole
+        query, which the search then runs on (one pass, unless negative
+        terms or quoted phrases leave it a shorter query to prepare)."""
         import time as _time
 
         t0 = _time.perf_counter()
-        analysis, tokens, confidence, variants = self._prepare(
+        prepared = self._prepare(
             query,
             max_variants=options.max_query_variants if options else None,
             enable_compound=options.enable_compound_search
             if options else True,
         )
         tok_ms = (_time.perf_counter() - t0) * 1000.0
-        hits = self.search(query, k=k, session_id=session_id,
-                           options=options)
+        hits = self._search(query, k, session_id, options, prepared)
+        _analysis, tokens, confidence, variants = prepared
         primary = next((v.engine for v in variants
                         if v.variant_type == TOKENIZED), "none")
         fallbacks = sorted({v.engine for v in variants

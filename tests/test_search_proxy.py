@@ -437,6 +437,60 @@ def test_search_with_info_tokenization_block(proxy):
     assert info["average_token_length"] > 0
 
 
+def test_search_with_info_prepares_once(proxy, monkeypatch):
+    """search_with_info runs _prepare once per call (twice only when a
+    negative term or quoted phrase leaves search a shorter query), with
+    hits identical to search() and info identical to one built from its
+    own _prepare of the whole query, tokenization_time_ms aside."""
+    import os
+
+    from meilisearch_thai_ray.pipelines.search_proxy import (
+        SearchOptions, SearchProxy)
+
+    proxy = SearchProxy(proxy.engine,
+                        docs_path=os.path.join(proxy.engine.index_dir, "docs"))
+    calls = []
+    prepare = proxy._prepare
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(proxy, "_prepare", counted)
+    for q, opts, want in [
+            ("สาหร่ายวากาเมะ", None, 1),
+            ("machine learning", SearchOptions(limit=3, max_query_variants=2),
+             1),
+            ("สาหร่าย ญี่ปุ่น", SearchOptions(enable_compound_search=False),
+             1),
+            ("ญี่ปุ่น well-known", None, 1),
+            ("สาหร่าย -วากาเมะ", None, 2),
+            ('"สาหร่ายวากาเมะ" อร่อย', None, 2)]:
+        calls.clear()
+        out = proxy.search_with_info(q, k=5, options=opts)
+        assert len(calls) == want, (q, calls)
+        hits = proxy.search(q, k=5, options=opts)
+        assert out["hits"] == hits and hits, q
+        _a, tokens, confidence, variants = prepare(
+            q, max_variants=opts.max_query_variants if opts else None,
+            enable_compound=opts.enable_compound_search if opts else True)
+        info = dict(out["tokenization_info"])
+        del info["tokenization_time_ms"]
+        assert info == {
+            "tokenization_engine": next(
+                (v.engine for v in variants if v.variant_type == "tokenized"),
+                "none"),
+            "tokens": list(tokens),
+            "fallback_engines_used": sorted(
+                {v.engine for v in variants if v.variant_type == "fallback"}),
+            "tokenization_confidence": confidence,
+            "original_text_length": len(q),
+            "token_count": len(tokens),
+            "average_token_length": round(
+                sum(map(len, tokens)) / len(tokens), 6) if tokens else 0.0,
+        }, q
+
+
 def test_distinct_attribute_one_hit_per_value(proxy):
     """Meilisearch distinct attribute: at most one hit per field value,
     the best-ranked survives; validation rejects non-sortable fields and
@@ -782,11 +836,40 @@ def _check_lcs_bound(a: str, b: str) -> None:
         assert dp < sp.SIMILARITY_THRESHOLD
 
 
+def _block_count(a: str, b: str) -> int:
+    """S2 + NP + 1 unhashed, from Counters: shared bigram occurrences,
+    shared occurrences of the characters not popular in b (difflib's
+    autojunk: more than len(b) // 100 + 1 of them in a b of >= 200
+    chars), plus one."""
+    from collections import Counter
+
+    def bigrams(s):
+        return Counter(s[i:i + 2] for i in range(len(s) - 1))
+
+    shared = Counter(a) & Counter(b)
+    if len(b) >= 200:
+        popular = len(b) // 100 + 1
+        shared = Counter({c: n for c, n in shared.items()
+                          if b.count(c) <= popular})
+    return (bigrams(a) & bigrams(b)).total() + shared.total() + 1
+
+
+def _matched(a: str, b: str) -> int:
+    """M: the total size of SequenceMatcher(None, a, b)'s matching
+    blocks."""
+    from difflib import SequenceMatcher
+
+    return sum(m.size for m in
+               SequenceMatcher(None, a, b).get_matching_blocks())
+
+
 def test_cluster_bounds_are_exact_upper_bounds_of_ratio():
     """Each bound is >= SequenceMatcher.ratio() (so a pair it rules out is
-    never a near-duplicate), the length and multiset bounds are difflib's
-    own quick ratios, _near_duplicate decides every pair as ratio() alone
-    does, and the LCS bound stops early only as _check_lcs_bound allows."""
+    never a near-duplicate), the length bound is difflib's own
+    real_quick_ratio, the hashed block bound is >= the unhashed
+    S2 + NP + 1, which is >= M, _near_duplicate decides every pair as
+    ratio() alone does, and the LCS bound stops early only as
+    _check_lcs_bound allows."""
     from difflib import SequenceMatcher
 
     from meilisearch_thai_ray.pipelines import search_proxy as sp
@@ -800,7 +883,9 @@ def test_cluster_bounds_are_exact_upper_bounds_of_ratio():
         bounds = [bound(ta, tb) for bound in sp._RATIO_BOUNDS]
         assert all(x >= r for x in bounds), (a[:40], b[:40], bounds, r)
         assert bounds[0] == matcher.real_quick_ratio()
-        assert bounds[1] == matcher.quick_ratio()
+        exact = _block_count(a, b)
+        assert bounds[1] >= sp._ratio_of(exact, len(a) + len(b))
+        assert exact >= _matched(a, b), (a[:40], b[:40])
         assert sp._near_duplicate(ta, tb) == (r >= sp.SIMILARITY_THRESHOLD)
         ratios.append(r)
         _check_lcs_bound(a, b)
@@ -863,6 +948,79 @@ def test_lcs_bound_early_exit_property(pair):
     assert sp._near_duplicate(sp._ClusterText(a), sp._ClusterText(b)) == (
         SequenceMatcher(None, a, b).ratio() >= sp.SIMILARITY_THRESHOLD)
 
+
+# characters no spaced pair's b holds: U+0000, a non-BMP emoji and a Thai
+# sign; edited pairs mix them into page text
+_ABSENT = "\0\U0001F600\u0E5B"
+
+
+@st.composite
+def _block_pairs(draw):
+    """(a, b) for the block bound, b of 150-260 chars so difflib's autojunk
+    (b >= 200 chars) is both on and off:
+
+    * spaced: b is a few background letters, popular in b once it has 200
+      chars, with k copies of a marker letter at random places, k at
+      len(b) // 100 + 1 plus -1..2 (the popularity cut); a is a prefix of
+      b, then markers each behind a character b lacks, padded with such
+      characters to 150-260 chars.  The prefix block has an empty seed
+      when it holds no marker, where M = S2 + NP + 1 holds with no slack;
+      the markers are single-character blocks seeded only while
+      non-popular in b;
+    * edit: a slice of a Thai page, with emoji and U+0000 mixed in, and
+      the same slice after enough random edits to straddle 0.85, then
+      extended by up to 60 of the page's next chars."""
+    import random
+
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    lb = draw(st.integers(150, 260))
+    if draw(st.sampled_from(["spaced", "edit"])) == "spaced":
+        background = draw(st.sampled_from(["ab", "abc", "กขค", "a"]))
+        marker = draw(st.sampled_from("zงA"))
+        k = max(1, lb // 100 + 1 + draw(st.integers(-1, 2)))
+        b = [rng.choice(background) for _ in range(lb - k)]
+        for _ in range(k):
+            b.insert(rng.randrange(len(b) + 1), marker)
+        b = "".join(b)
+        a = b[:draw(st.integers(0, 40))] + "".join(
+            rng.choice(_ABSENT) + marker
+            for _ in range(draw(st.integers(1, k + 3))))
+        pad = draw(st.integers(150, 260)) - len(a)
+        a += "".join(rng.choice(_ABSENT) for _ in range(max(0, pad)))
+    else:
+        page = draw(st.sampled_from(_THAI_PAGES))
+        at = draw(st.integers(0, len(page) - lb))
+        b = list(page[at:at + lb])
+        for _ in range(draw(st.integers(0, 6))):
+            b[rng.randrange(lb)] = rng.choice(_ABSENT)
+        b = "".join(b)
+        alphabet = "".join(sorted(set(b)))
+        # with the page's next chars a is often on the other side of 200
+        # chars from b, where ratio(a, b) and ratio(b, a) differ most
+        a = _edit(rng, b, draw(st.integers(0, 60)), alphabet) \
+            + page[at + lb:at + lb + draw(st.integers(0, 60))]
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_pairs())
+def test_block_bound_property(pair):
+    """The hashed block bound is >= M, the unhashed S2 + NP + 1 is too,
+    and _near_duplicate decides every pair as ratio() >= 0.85 alone
+    does."""
+    from difflib import SequenceMatcher
+
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    a, b = pair
+    ta, tb = sp._ClusterText(a), sp._ClusterText(b)
+    m = _matched(a, b)
+    assert _block_count(a, b) >= m
+    assert sp._block_bound(ta, tb) >= sp._ratio_of(m, len(a) + len(b))
+    assert sp._near_duplicate(ta, tb) == (
+        SequenceMatcher(None, a, b).ratio() >= sp.SIMILARITY_THRESHOLD)
 
 # the request shapes of the proxy benchmark (perfbench/bench_inputs.py)
 _SHAPES = {
