@@ -5,6 +5,10 @@
 - Thai run pattern [฀-๿]+ and ratio over alpha chars:
   document_processor.py:77-101.
 - Mixed content = has Thai AND [a-zA-Z0-9]: document_processor.py:103-112.
+
+`class_codes` maps a text to one class digit per character with one
+`str.translate`, so run finding and the Thai ratio are regex and `count`
+calls over that string rather than Python loops over characters.
 """
 
 from __future__ import annotations
@@ -23,19 +27,53 @@ def contains_thai(text: str) -> bool:
     return bool(text) and bool(THAI_RUN.search(text))
 
 
+def _char_class(c: str) -> int:
+    """0=thai 1=space 2=alpha 3=digit 4=other — run classes for non-dictionary spans."""
+    if is_thai_char(c):
+        return 0
+    if c.isspace():
+        return 1
+    if c.isalpha():
+        return 2
+    if c.isdigit():
+        return 3
+    return 4
+
+
+class _ClassCodes(dict):
+    """`str.translate` table: code point -> its `_char_class` digit, filled
+    the first time a character is seen, so it is exact for every Unicode
+    character and holds only the characters met so far."""
+
+    __slots__ = ()
+
+    def __missing__(self, cp: int) -> str:
+        code = self[cp] = str(_char_class(chr(cp)))
+        return code
+
+
+_CLASS_CODES = _ClassCodes()
+
+# maximal same-class runs of a class-code string; WORD_RUN skips whitespace
+CLASS_RUN = re.compile("0+|1+|2+|3+|4+")
+WORD_RUN = re.compile("0+|2+|3+|4+")
+
+
+def class_codes(text: str) -> str:
+    """One class digit per character of `text` (see `_char_class`)."""
+    return text.translate(_CLASS_CODES)
+
+
+def codes_thai_ratio(codes: str) -> float:
+    """`thai_ratio` of the text `codes` were made from."""
+    thai = codes.count("0")
+    total = thai + codes.count("2")
+    return thai / total if total else 0.0
+
+
 def thai_ratio(text: str) -> float:
     """Thai chars / (alpha or Thai chars); document_processor.py:86-96."""
-    if not text:
-        return 0.0
-    thai = 0
-    total = 0
-    for c in text:
-        t = "฀" <= c <= "๿"
-        if t:
-            thai += 1
-        if t or c.isalpha():
-            total += 1
-    return thai / total if total else 0.0
+    return codes_thai_ratio(class_codes(text)) if text else 0.0
 
 
 def extract_thai_runs(text: str) -> list[str]:

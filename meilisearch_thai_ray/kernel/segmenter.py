@@ -17,9 +17,34 @@ Mirrors the behaviour of the reference's ThaiSegmenter
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ..config import KNOWN_LONG_WORDS
 from .charclass import is_thai_char, is_thai_text
 from .trie import Trie, segment
+
+# Tokens per TokenMemo.  Token streams are Zipfian (the perfbench fixture
+# has 1,946 distinct tokens in 340,571), so a memo cleared when full keeps
+# nearly every hit while bounding its memory.
+TOKEN_MEMO_CAP = 1 << 15
+
+
+class TokenMemo(dict):
+    """token -> decide(token), computed on the first lookup of the token
+    and cleared when it holds TOKEN_MEMO_CAP tokens.  Lookups through
+    `map(memo.__getitem__, tokens)` run per token in C."""
+
+    __slots__ = ("decide",)
+
+    def __init__(self, decide):
+        super().__init__()
+        self.decide = decide
+
+    def __missing__(self, token: str):
+        if len(self) >= TOKEN_MEMO_CAP:
+            self.clear()
+        value = self[token] = self.decide(token)
+        return value
 
 
 class ThaiSegmenter:
@@ -29,6 +54,7 @@ class ThaiSegmenter:
         self.custom_set = frozenset(custom_words)
         self.trie = Trie(set(base_words) | set(custom_words))
         self.base_trie = Trie(set(base_words))
+        self._enhanced = TokenMemo(self._enhance)
 
     def segment_text(self, text: str, keep_whitespace: bool = True) -> list[str]:
         if not text or not text.strip():
@@ -42,20 +68,17 @@ class ThaiSegmenter:
 
     def enhance_tokens(self, tokens: list[str]) -> list[str]:
         """Apply the >6-char compound second pass to an existing token list."""
-        out: list[str] = []
-        for tok in tokens:
-            if len(tok) > 6 and is_thai_text(tok) and tok not in KNOWN_LONG_WORDS:
-                if tok in self.custom_set:
-                    out.append(tok)  # dictionary compound preserved whole (:186-189)
-                else:
-                    sub = self._alt_segment(tok)
-                    if len(sub) > 1:
-                        out.extend(sub)  # split applied only when it helps (:193-195)
-                    else:
-                        out.append(tok)
-            else:
-                out.append(tok)
-        return out
+        return list(chain.from_iterable(map(self._enhanced.__getitem__, tokens)))
+
+    def _enhance(self, tok: str) -> tuple[str, ...]:
+        """One token's second-pass outcome: itself, or its parts."""
+        if len(tok) > 6 and is_thai_text(tok) and tok not in KNOWN_LONG_WORDS:
+            if tok in self.custom_set:
+                return (tok,)  # dictionary compound preserved whole (:186-189)
+            # split applied only when it helps (:193-195); _alt_segment
+            # returns the token alone otherwise
+            return tuple(self._alt_segment(tok))
+        return (tok,)
 
     def _alt_segment(self, token: str) -> list[str]:
         """Alternative segmentation of one long token: base-only trie (no custom

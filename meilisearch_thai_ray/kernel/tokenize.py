@@ -13,12 +13,24 @@ index-side settings (settings_manager.py:26-111):
   * index terms = tokens minus whitespace, punctuation-only tokens and the
     index stop-word list (settings_manager.py:65-69); latin tokens lowercased.
 
-`DocumentTokenizer` is deterministic and stateless after __init__ — safe to
-instantiate once per Ray actor and call per batch, and to use directly as the
-single-node oracle.
+Per character, the work is done in C: one `str.translate` gives the
+document's class-code string (`charclass.class_codes`), whose regex runs are
+the Thai runs, the non-Thai class runs and the Thai ratio, and the trie's one
+compiled pattern segments the Thai runs.  Per token, the decisions are
+memoized: the compound second pass and the index-term decision (strip, the
+punct rule, stop words, lowercasing, compound parts, and the token class
+`tokenized_content` reads), each in a dict of at most TOKEN_MEMO_CAP tokens.
+
+`DocumentTokenizer` is deterministic after __init__ (the memos only cache
+pure functions of the token) — safe to instantiate once per Ray actor and
+call per batch, and to use directly as the single-node oracle.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 from ..config import (
     THAI_COMPOUND_SEPARATOR,
@@ -26,13 +38,17 @@ from ..config import (
     EngineConfig,
 )
 from .charclass import (
-    THAI_RUN,
+    CLASS_RUN,
+    WORD_RUN,
+    class_codes,
     classify_token,
-    contains_thai,
+    codes_thai_ratio,
     is_mixed_content,
-    thai_ratio,
 )
-from .segmenter import ThaiSegmenter
+from .segmenter import ThaiSegmenter, TokenMemo
+
+_THAI_CODES = re.compile("0+")  # Thai runs of a class-code string
+_TERMS = itemgetter(1)
 
 
 TOKENIZER_VERSION = "3"  # bump on any index-term semantic change (cache keys)
@@ -68,33 +84,37 @@ class DocumentTokenizer:
                 "and non_separator_tokens")
         self._sep_re = None
         if self.config.separator_tokens:
-            import re
             alts = sorted(self.config.separator_tokens, key=len, reverse=True)
             self._sep_re = re.compile("|".join(re.escape(s) for s in alts))
         self._nonsep = frozenset(self.config.non_separator_tokens)
         self._nonsep_chars = frozenset("".join(self._nonsep))
+        # token -> (its class, its index terms: none, or the term and its
+        # compound parts)
+        self._token_info = TokenMemo(self._decide)
 
     # ---------------- tokenization ----------------
 
-    def _class_run_tokens(self, text: str) -> list[str]:
-        """Non-Thai span -> filtered token list, honouring the
-        nonSeparatorTokens setting: a listed token glues its immediately
-        adjacent (no whitespace between) word neighbours — "e"+"-"+"mail" ->
-        "e-mail", "#"+"hashtag" -> "#hashtag". The unfiltered segment stream
-        covers the span contiguously, so consecutive non-whitespace tokens
-        ARE adjacent in the original text."""
-        toks = self.segmenter.segment_text(text)
+    def _class_run_tokens(self, text: str, codes: str, start: int,
+                          end: int) -> list[str]:
+        """Non-Thai span text[start:end] -> its class runs minus whitespace
+        (`codes` is `class_codes(text)`), honouring the nonSeparatorTokens
+        setting: a listed token glues its immediately adjacent (no
+        whitespace between) word neighbours — "e"+"-"+"mail" -> "e-mail",
+        "#"+"hashtag" -> "#hashtag". The runs cover the span contiguously,
+        so consecutive non-whitespace runs ARE adjacent in the text."""
         if not self._nonsep:
-            return [t for t in toks if t.strip()]
+            return [text[m.start():m.end()]
+                    for m in WORD_RUN.finditer(codes, start, end)]
         out: list[str] = []
         prev_ws = True      # whitespace gap precedes the current token
         pending = False     # out[-1] ends in a nonsep token: glue next word
-        for t in toks:
-            if not t.strip():
+        for m in CLASS_RUN.finditer(codes, start, end):
+            if codes[m.start()] == "1":
                 prev_ws, pending = True, False
                 continue
+            t = text[m.start():m.end()]
             if t in self._nonsep or (
-                # punct RUNS: the segmenter emits "++" for "c++"; a run whose
+                # punct RUNS: class runs give "++" for "c++"; a run whose
                 # chars are all configured nonsep chars glues the same way
                 self._nonsep_chars
                 and all(c in self._nonsep_chars for c in t)
@@ -131,24 +151,27 @@ class DocumentTokenizer:
         content tokens kept, stop words included — stop filtering happens at
         index-term derivation, as in the reference where stopWords is an index
         setting, not a tokenizer behaviour)."""
-        if not text:
-            return []
-        if not contains_thai(text):
-            # Non-Thai document: plain class-run tokenization (the reference
-            # SKIPs Thai processing entirely, document_processor.py:178-183;
-            # terms still need to be searchable in our engine).
-            return self._split_custom_separators(self._class_run_tokens(text))
+        return self._tokenize(text, class_codes(text)) if text else []
+
+    def _tokenize(self, text: str, codes: str) -> list[str]:
+        """`tokenize`, given `codes` = class_codes(text).  A non-Thai
+        document is its class runs alone (the reference SKIPs Thai
+        processing entirely, document_processor.py:178-183; terms still
+        need to be searchable in our engine)."""
+        seg = self.segmenter
         tokens: list[str] = []
         pos = 0
-        for m in THAI_RUN.finditer(text):
-            if m.start() > pos:
-                tokens.extend(self._class_run_tokens(text[pos : m.start()]))
-            run_tokens = self.segmenter.segment_text(m.group())
-            tokens.extend(self.segmenter.enhance_tokens(run_tokens))
-            pos = m.end()
+        for m in _THAI_CODES.finditer(codes):
+            start, end = m.span()
+            if start > pos:
+                tokens.extend(self._class_run_tokens(text, codes, pos, start))
+            tokens.extend(seg.segment_text(text[start:end]))
+            pos = end
         if pos < len(text):
-            tokens.extend(self._class_run_tokens(text[pos:]))
-        return self._split_custom_separators(tokens)
+            tokens.extend(self._class_run_tokens(text, codes, pos, len(text)))
+        # the compound second pass, once over the document: it leaves
+        # every token of a non-Thai span as it is
+        return self._split_custom_separators(seg.enhance_tokens(tokens))
 
     def index_terms(self, tokens: list[str]) -> list[str]:
         """Tokens -> searchable terms: drop whitespace/punct-only and stop
@@ -164,50 +187,46 @@ class DocumentTokenizer:
         using a compound PART (e.g. "วากาเมะ X" against a doc containing
         "สาหร่ายวากาเมะX") still lines up, because the part sits at the
         parent's position."""
-        out: list[str] = []
-        pos: list[int] = []
-        lower = self.config.lowercase_latin
-        stop = self.stop_words
-        parts_of = self.compound_parts
-        p = 0
-        nonsep_chars = self._nonsep_chars
-        for t in tokens:
-            ts = t.strip()
-            if not ts:
-                continue
-            if classify_token(ts) == "punct" and not (
+        groups = list(filter(None, map(
+            _TERMS, map(self._token_info.__getitem__, tokens))))
+        terms = list(chain.from_iterable(groups))
+        if len(terms) == len(groups):  # no compound parts
+            return terms, list(range(len(terms)))
+        return terms, list(chain.from_iterable(
+            map(repeat, count(), map(len, groups))))
+
+    def _decide(self, t: str) -> tuple[str, tuple[str, ...]]:
+        """One token's (class, index terms): no terms for whitespace,
+        punctuation and stop words, else the stripped token (lowercased when
+        configured) followed by its compound parts."""
+        ts = t.strip()
+        kind = classify_token(ts)
+        if not ts or ts in self.stop_words or (kind == "punct" and not (
                 # nonSeparatorTokens setting: a merge like "c++" is
                 # punct-DOMINANT but must stay searchable — keep punct-class
                 # tokens that mix alphanumerics with configured nonsep chars
                 # (unset config: empty set, condition always False)
-                nonsep_chars
-                and any(c in nonsep_chars for c in ts)
-                and any(c.isalnum() for c in ts)
-            ):
-                continue
-            if ts in stop:
-                continue
-            out.append(ts.lower() if lower else ts)
-            pos.append(p)
-            parts = parts_of.get(ts)
-            if parts:  # compound parts become index terms too (sub-token surface)
-                out.extend(parts)
-                pos.extend([p] * len(parts))
-            p += 1
-        return out, pos
+                self._nonsep_chars
+                and any(c in self._nonsep_chars for c in ts)
+                and any(c.isalnum() for c in ts))):
+            return kind, ()
+        term = ts.lower() if self.config.lowercase_latin else ts
+        return kind, (term, *self.compound_parts.get(ts, ()))
 
     def analyze(self, text: str) -> dict:
         """One document -> analysis row (columns of the `docs` table)."""
-        tokens = self.tokenize(text)
+        text = text or ""
+        codes = class_codes(text)
+        tokens = self._tokenize(text, codes)
         terms, positions = self.index_terms_with_positions(tokens)
         return {
             "tokens": tokens,
             "terms": terms,
             "term_positions": positions,
             "token_count": len(terms),
-            "thai_ratio": thai_ratio(text),
+            "thai_ratio": codes_thai_ratio(codes),
             "mixed": is_mixed_content(text),
-            "has_thai": contains_thai(text),
+            "has_thai": "0" in codes,
         }
 
     # ---------------- derived separator form ----------------
@@ -220,7 +239,7 @@ class DocumentTokenizer:
         their own separator (the searchable term stream is identical)."""
         parts: list[str] = []
         for t in tokens:
-            k = classify_token(t)
+            k = self._token_info[t][0]
             if k == "thai":
                 parts.append(t + THAI_WORD_SEPARATOR)
             elif k in ("english", "numeric"):

@@ -4,32 +4,38 @@ Built from scratch (pythainlp is not available here and the north rule forbids
 porting). Semantics modeled on the reference's use of a dictionary tokenizer
 built once from `thai_words() | custom_dict` (thai_segmenter.py:66-76):
 
-  * longest dictionary match wins at each position (greedy maximal matching —
-    deterministic, single pass, O(text * max_word_len));
+  * longest dictionary match wins at each Thai position (greedy maximal
+    matching — deterministic, single pass);
   * consecutive characters with no dictionary match are grouped into one
     "unknown" run token (newmm groups unknown Thai spans the same way);
   * whitespace runs are preserved as tokens (keep_whitespace=True,
     thai_segmenter.py:111-115);
   * non-Thai runs (latin / digit / punct) are emitted as per-class run tokens.
 
-The trie is plain nested dicts with a terminal marker — built once per actor in
-__init__ and shared across batches.
+The trie is nested dicts with a terminal marker, compiled on first use into
+one regular expression: the words as nested optional groups, where greedy
+backtracking finds the longest word, inside an atomic group so a longest
+match followed by a combining mark fails outright instead of falling back to
+a shorter word.  `re.split` with it does the matching in C; the gaps between
+matches are the unknown and class runs.  Built once per actor in __init__
+and shared across batches.
 """
 
 from __future__ import annotations
 
-from .charclass import is_thai_char
+import re
+
+from .charclass import CLASS_RUN, WORD_RUN, class_codes, is_thai_char
 
 _END = "\x00"  # terminal marker key inside trie nodes
 
 
 class Trie:
-    __slots__ = ("root", "max_len", "size")
+    __slots__ = ("root", "_splitter")
 
     def __init__(self, words: list[str] | set[str] = ()):  # type: ignore[assignment]
         self.root: dict = {}
-        self.max_len = 0
-        self.size = 0
+        self._splitter: re.Pattern | None = None
         for w in words:
             self.add(w)
 
@@ -39,11 +45,8 @@ class Trie:
         node = self.root
         for ch in word:
             node = node.setdefault(ch, {})
-        if _END not in node:
-            node[_END] = True
-            self.size += 1
-            if len(word) > self.max_len:
-                self.max_len = len(word)
+        node[_END] = True
+        self._splitter = None
 
     def __contains__(self, word: str) -> bool:
         node = self.root
@@ -53,20 +56,35 @@ class Trie:
                 return False
         return _END in node
 
-    def longest_prefix(self, text: str, start: int) -> int:
-        """Length of the longest dictionary word starting at text[start]; 0 if none."""
-        node = self.root
-        best = 0
-        i = start
-        n = len(text)
-        while i < n:
-            node = node.get(text[i])
-            if node is None:
-                break
-            i += 1
-            if _END in node:
-                best = i - start
-        return best
+    @property
+    def splitter(self) -> re.Pattern:
+        """`((?>TRIE)(?!COMB))`: at a position, the longest dictionary word
+        starting with a Thai character there, unless a combining mark
+        follows it.  One capture group, so `split` keeps the words."""
+        if self._splitter is None:
+            thai_first = {ch: node for ch, node in self.root.items()
+                          if ch != _END and is_thai_char(ch)}
+            words = _alternation(thai_first) if thai_first else "(?!)"
+            self._splitter = re.compile(f"((?>{words})(?!{_COMBINING_CLASS}))")
+        return self._splitter
+
+
+def _alternation(children: dict) -> str:
+    """Regex for the words below a trie node, given its children: one
+    branch per child character, the rest of the word after it, optional
+    (greedy, so longer words are tried first) where the child ends a word."""
+    branches = []
+    for ch in sorted(children):
+        node = children[ch]
+        rest = {c: n for c, n in node.items() if c != _END}
+        branch = re.escape(ch)
+        if rest:
+            sub = _alternation(rest)
+            branch += f"(?:{sub})?" if _END in node else sub
+        branches.append(branch)
+    if len(branches) == 1:
+        return branches[0]
+    return "(?:" + "|".join(branches) + ")"
 
 
 # Thai dependent vowels / tone marks / thanthakhat — a DICTIONARY MATCH must
@@ -79,70 +97,33 @@ class Trie:
 _COMBINING = frozenset(
     chr(c) for c in [0x0E31, *range(0x0E33, 0x0E3B), *range(0x0E47, 0x0E4F)]
 )
+_COMBINING_CLASS = "[" + "".join(sorted(_COMBINING)) + "]"
+_NON_THAI = re.compile("[^฀-๿]")
 
 
 def is_combining_mark(c: str) -> bool:
     return c in _COMBINING
 
 
-def _char_class(c: str) -> int:
-    """0=thai 1=space 2=alpha 3=digit 4=other — run classes for non-dictionary spans."""
-    if is_thai_char(c):
-        return 0
-    if c.isspace():
-        return 1
-    if c.isalpha():
-        return 2
-    if c.isdigit():
-        return 3
-    return 4
-
-
 def segment(text: str, trie: Trie, keep_whitespace: bool = True) -> list[str]:
     """Segment `text` into tokens by greedy longest dictionary matching.
 
-    Thai spans: longest trie match at each position; unmatched Thai chars are
-    accumulated into one unknown-run token (flushed when a match or class change
-    occurs). Non-Thai spans: grouped into maximal same-class runs (alpha, digit,
-    other); whitespace runs kept iff keep_whitespace.
+    Thai spans: the longest trie match at each position; a match followed by
+    a combining mark is rejected, so that position joins the unknown run.
+    Unmatched characters between matches split into maximal same-class runs
+    (unknown Thai, alpha, digit, other); whitespace runs kept iff
+    keep_whitespace.
     """
+    parts = trie.splitter.split(text)  # [gap, word, gap, word, ..., gap]
+    if _NON_THAI.search(text) is None:  # every gap is one unknown Thai run
+        return list(filter(None, parts))
     tokens: list[str] = []
-    n = len(text)
-    i = 0
-    unk_start = -1  # start of current unknown-Thai run, -1 if none
-
-    def flush_unknown(end: int) -> None:
-        nonlocal unk_start
-        if unk_start >= 0:
-            tokens.append(text[unk_start:end])
-            unk_start = -1
-
-    while i < n:
-        c = text[i]
-        if is_thai_char(c):
-            m = trie.longest_prefix(text, i)
-            # TCC safety: a match whose NEXT char is a combining mark would
-            # strand that mark at a token start — reject and treat the span as
-            # part of the unknown run instead
-            if m > 0 and i + m < n and text[i + m] in _COMBINING:
-                m = 0
-            if m > 0:
-                flush_unknown(i)
-                tokens.append(text[i : i + m])
-                i += m
-            else:
-                if unk_start < 0:
-                    unk_start = i
-                i += 1
-        else:
-            flush_unknown(i)
-            cls = _char_class(c)
-            j = i + 1
-            while j < n and not is_thai_char(text[j]) and _char_class(text[j]) == cls:
-                j += 1
-            run = text[i:j]
-            if cls != 1 or keep_whitespace:
-                tokens.append(run)
-            i = j
-    flush_unknown(n)
+    runs = CLASS_RUN if keep_whitespace else WORD_RUN
+    for i, part in enumerate(parts):
+        if i % 2:
+            tokens.append(part)
+        elif part:
+            codes = class_codes(part)
+            tokens.extend(part[m.start():m.end()]
+                          for m in runs.finditer(codes))
     return tokens

@@ -315,24 +315,34 @@ _BIGRAM_SHIFT = np.uint64(64 - (_BINS - 1).bit_length())  # keeps top bits
 _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, odd
 
 
+class _Tally:
+    """A running byte count (SearchProxy._cluster_bytes)."""
+
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+
+
 class _ClusterText:
     """A clustering text (at most 500 chars in the proxy, so its counts
     and their sums fit int16) with the per-text parts of the bounds: one
     (3, _BINS) count array with rows [characters, bigrams, non-popular
     characters], read as its a side (rows 1, 0) and its b side (rows 1, 2)
     so both share the bigram row, and (built on first use) the
-    per-character position bitmasks the LCS bound reads on its b side."""
+    per-character position bitmasks the LCS bound reads on its b side.
+    Building the masks adds their bytes to `tally`, if given."""
 
-    __slots__ = ("text", "n_chars", "as_a", "as_b", "_masks")
+    __slots__ = ("text", "as_a", "as_b", "_masks", "tally")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, tally: _Tally | None = None):
         self.text = text
+        self.tally = tally
         # UTF-32 gives one code unit per str element, non-BMP characters
         # and lone surrogates included
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                               np.uint32)
         chars, counts = np.unique(codes, return_counts=True)
-        self.n_chars = len(chars)
         char_bin = chars % _BINS
         wide = codes.astype(np.uint64)  # a code point fits 21 bits
         bigram_bin = ((wide[:-1] << np.uint64(21) | wide[1:]) * _FIBONACCI
@@ -353,18 +363,22 @@ class _ClusterText:
             for j, ch in enumerate(self.text):
                 masks[ch] = masks.get(ch, 0) | 1 << j
             self._masks = masks
+            if self.tally is not None:
+                self.tally.n += self._masks_nbytes()
         return self._masks
 
+    def _masks_nbytes(self) -> int:
+        masks = self._masks
+        if masks is None:
+            return 0
+        return sys.getsizeof(masks) + sum(
+            sys.getsizeof(ch) + sys.getsizeof(m) for ch, m in masks.items())
+
     def nbytes(self) -> int:
-        """Bytes it holds once its masks are built, each key counted at
-        its largest (a non-BMP character) and each mask too: one bit for
-        every char of a 500-char text."""
+        """Bytes it holds: its text, count rows and masks built so far."""
         return (sys.getsizeof(self) + sys.getsizeof(self.text)
                 + sys.getsizeof(self.as_a.base) + sys.getsizeof(self.as_a)
-                + sys.getsizeof(self.as_b)
-                + sys.getsizeof(dict.fromkeys(range(self.n_chars)))
-                + self.n_chars * (sys.getsizeof("\U0010ffff")
-                                  + sys.getsizeof((1 << 500) - 1)))
+                + sys.getsizeof(self.as_b) + self._masks_nbytes())
 
 
 def _ratio_of(matches: int, length: int) -> float:
@@ -464,9 +478,10 @@ _NO_TEXT.cluster = _ClusterText("")
 # The cache this replaced held up to 50,000 bare texts: 153.5 MB with
 # keys and dict at the perfbench fixture's mean of 3.0 KB a text.  There a
 # record is 3.6 KB (15% of texts need a lowered copy), so about 40,000
-# texts fit, and a clustering text counts 18.3 KB: 6.5 KB of count rows,
-# 1.1 KB of text and, at their largest, 10.7 KB of LCS masks and their
-# dict.  By bytes the bound holds for any text size.
+# texts fit, and a clustering text counts 7.6 KB: 6.5 KB of count rows
+# and 1.0 KB of text, plus 9.1 KB of LCS masks and their dict once the LCS
+# bound builds them, which it does for few texts.  By bytes the bound holds
+# for any text size.
 DOC_CACHE_BYTES = 150_000_000
 
 
@@ -505,7 +520,7 @@ class SearchProxy:
         self._doc_cache: dict[int, _DocText] = {}
         self._text_bytes = 0  # of the records and keys, not the dict
         self._clustered: list[_DocText] = []  # records with a cluster text
-        self._cluster_bytes = 0
+        self._cluster_bytes = _Tally()  # of those cluster texts
 
     def _doc_texts(self, doc_ids: list[int]) -> dict[int, _DocText]:
         """Doc records (text, lowered text, clustering text) for the
@@ -516,7 +531,7 @@ class SearchProxy:
         if not self.docs_path:
             return {}
         size = self._text_bytes + sys.getsizeof(self._doc_cache)
-        if size + self._cluster_bytes > DOC_CACHE_BYTES:
+        if size + self._cluster_bytes.n > DOC_CACHE_BYTES:
             # evict BEFORE deciding what to fetch — clearing after would drop
             # already-cached entries the current request still needs
             if size > DOC_CACHE_BYTES:
@@ -526,7 +541,9 @@ class SearchProxy:
                 for rec in self._clustered:
                     rec.cluster = None
             self._clustered.clear()
-            self._cluster_bytes = 0
+            # a fresh tally: the dropped texts a request still holds may
+            # build masks, and those bytes are no longer the cache's
+            self._cluster_bytes = _Tally()
         missing = [d for d in doc_ids if d not in self._doc_cache]
         if missing:
             import pyarrow.compute as pc
@@ -548,9 +565,10 @@ class SearchProxy:
         cached record and counted toward DOC_CACHE_BYTES."""
         rec = self._doc_texts([doc_id]).get(doc_id, _NO_TEXT)
         if rec.cluster is None:
-            ct = rec.cluster = _ClusterText(rec.text[:500])
+            ct = rec.cluster = _ClusterText(rec.text[:500],
+                                            self._cluster_bytes)
             self._clustered.append(rec)
-            self._cluster_bytes += ct.nbytes() - (
+            self._cluster_bytes.n += ct.nbytes() - (
                 sys.getsizeof(ct.text) if ct.text is rec.text else 0)
         return rec.cluster
 

@@ -107,6 +107,7 @@ class ExtractTokenize:
         statuses: list[str] = []
         errors: list[str] = []
         analyze = self.tokenizer.analyze
+        tokenize = self.tokenizer.tokenize
         title_tcs: list[int] = []
         for h in htmls:
             # one corrupt page must become a status row, not a task retry
@@ -123,7 +124,7 @@ class ExtractTokenize:
                     # positions index PRIMARY tokens (compound parts share
                     # the parent position), so the boundary is the title's
                     # primary-token count, not its term count
-                    title_tc = len(analyze(title)["tokens"])
+                    title_tc = len(tokenize(title))
             except Exception as exc:  # dead-letter row
                 texts.append("")
                 terms.append([])

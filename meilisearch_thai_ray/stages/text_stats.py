@@ -101,9 +101,10 @@ class LangId:
         texts = batch["text"].to_pylist()
         langs, confs = [], []
         for t in texts:
-            if thai_ratio(t) > 0.5:
+            ratio = thai_ratio(t)
+            if ratio > 0.5:
                 langs.append("th")
-                confs.append(round(thai_ratio(t), 6))
+                confs.append(round(ratio, 6))
                 continue
             toks = set(t.lower().split(" "))
             best, best_hits = "und", 0

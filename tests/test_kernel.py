@@ -53,7 +53,7 @@ def test_classify_token():
 
 def test_trie_longest_match():
     t = Trie(["กา", "การ", "การบ้าน"])
-    assert t.longest_prefix("การบ้านเด็ก", 0) == len("การบ้าน")
+    assert t.splitter.match("การบ้านเด็ก").end() == len("การบ้าน")
     assert "การ" in t and "กา" in t and "บ้าน" not in t
 
 

@@ -1022,6 +1022,54 @@ def test_block_bound_property(pair):
     assert sp._near_duplicate(ta, tb) == (
         SequenceMatcher(None, a, b).ratio() >= sp.SIMILARITY_THRESHOLD)
 
+def test_cluster_bytes_count_masks_when_built(tmp_path):
+    """The clustering step of a request, on cached fixture texts and
+    near-duplicates of some: _cluster_bytes counts each text's LCS masks
+    once the LCS bound has built them, at their real size, and at every
+    step equals what the cached clustering texts hold."""
+    import random
+    import sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from meilisearch_thai_ray.kernel import html_to_text
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    pages = generate_pages(12, seed=11, lines_range=(20, 50))
+    texts = [html_to_text(h) for h in pages["html"].to_pylist()]
+    rng = random.Random(11)
+    for t in texts[:4]:  # a few characters edited: these reach the LCS
+        chars = list(t[:500])
+        for _ in range(5):
+            chars[rng.randrange(len(chars))] = "ก"
+        texts.append("".join(chars) + t[500:])
+    texts.append("สั้น")  # shorter than 500 chars: the record's own text
+    pq.write_table(pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                             "text": pa.array(texts, pa.string())}),
+                   str(tmp_path / "docs.parquet"))
+    proxy = SearchProxy(None, docs_path=str(tmp_path))
+    accepted = []
+    for d in range(len(texts)):
+        cand = proxy._cluster_text(d)
+        if not any(sp._near_duplicate(cand, acc) for acc in accepted):
+            accepted.append(cand)
+        # what the cached clustering texts hold, a text shared with its
+        # record counted once
+        assert proxy._cluster_bytes.n == sum(
+            r.cluster.nbytes() - (sys.getsizeof(r.text)
+                                  if r.cluster.text is r.text else 0)
+            for r in proxy._clustered)
+    built = [r.cluster for r in proxy._clustered
+             if r.cluster._masks is not None]
+    assert 0 < len(built) < len(proxy._clustered)
+    for ct in built:
+        masks = ct._masks
+        assert ct._masks_nbytes() == sys.getsizeof(masks) + sum(
+            sys.getsizeof(ch) + sys.getsizeof(m) for ch, m in masks.items())
+    assert len(accepted) == 13
+
+
 # the request shapes of the proxy benchmark (perfbench/bench_inputs.py)
 _SHAPES = {
     "default": ("{q}", {}),
