@@ -503,25 +503,68 @@ def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, 
     return manifest.partitions("shards")
 
 
+def typo_arrays(terms) -> tuple[np.ndarray, np.ndarray]:
+    """The SymSpell deletion neighbourhood of `terms` as two arrays: the
+    hash (kernel/typo.variant_hash, uint32) of every variant within
+    MAX_TYPOS deletions of every term, stably sorted, and the int32 index
+    in `terms` of each hash's term. Every query budget is <= MAX_TYPOS, so
+    a term within any request's thresholds of a query shares a hashed
+    variant with it; a hash collision only adds a candidate that the exact
+    Damerau-Levenshtein check drops. 8 bytes per neighbourhood row."""
+    from ..kernel.typo import MAX_TYPOS, deletion_variants, variant_hash
+
+    hashes: list[int] = []
+    rows: list[int] = []
+    for i, t in enumerate(terms):
+        vs = deletion_variants(t, MAX_TYPOS)
+        hashes.extend(map(variant_hash, vs))
+        rows.extend([i] * len(vs))
+    h = np.array(hashes, dtype=np.uint32)
+    order = np.argsort(h, kind="stable")
+    return h[order], np.array(rows, dtype=np.int32)[order]
+
+
+def _neighbourhood_batch(batch: pa.Table) -> pa.Table:
+    """(term, row) rows -> (hash, row) neighbourhood rows (Ray path)."""
+    h, r = typo_arrays(batch["term"].to_pylist())
+    rows = batch["row"].to_numpy()
+    return pa.table({"hash": h, "row": rows[r]})
+
+
+def _atomic_save_npy(path: str, arr: np.ndarray) -> None:
+    tmp = path + f".tmp.{os.getpid()}"
+    with open(tmp, "wb") as f:
+        np.save(f, arr)
+    os.replace(tmp, path)
+
+
 def build_term_dict(out_dir: str) -> str:
-    """Phase 'dict': globally SORTED (term, df, cf) dictionary parquet.
+    """Phase 'dict': globally SORTED (term, df, cf) dictionary parquet, and
+    next to it the typo arrays (typo_arrays over the sorted terms) as
+    typodict/hash.npy and typodict/row.npy, row = the term's row in the
+    dictionary as pyarrow.dataset reads it.
 
     The scale path for prefix expansion / suggestions: terms are hash-sharded
     in the posting files, so a prefix scan would otherwise load every shard's
     term table; a sorted dictionary with small row groups turns it into a
     stats-pruned range read (only row groups whose [min, max] straddles the
-    prefix are touched). Dictionary size is O(vocabulary) — tiny next to the
+    prefix are touched). Typo expansion becomes two searchsorted calls over
+    the hash array. Dictionary size is O(vocabulary) — tiny next to the
     postings — so a driver-side streaming scan suffices below 4 GiB and the
-    Ray groupby/sort path covers anything bigger."""
+    Ray groupby/sort path covers anything bigger. Both arrays are written
+    before the phase is marked done; the .npy files live outside termdict/
+    so the dictionary stays a pure parquet dataset."""
     import pyarrow.dataset as pads
 
     manifest = BuildManifest(out_dir)
     d = os.path.join(out_dir, "termdict")
     if manifest.phase_done("dict"):
         return d
-    os.makedirs(d, exist_ok=True)
-    for f in os.listdir(d):  # discard a crashed run's partial files
-        os.remove(os.path.join(d, f))
+    td = os.path.join(out_dir, "typodict")
+    for sub in (d, td):  # discard a crashed run's partial files
+        os.makedirs(sub, exist_ok=True)
+        for f in os.listdir(sub):
+            os.remove(os.path.join(sub, f))
     shards_dir = os.path.join(out_dir, "shards")
     files = []
     if os.path.isdir(shards_dir):
@@ -536,103 +579,52 @@ def build_term_dict(out_dir: str) -> str:
                       "cf": pa.array([], pa.int64())}),
             os.path.join(d, "termdict-00000.parquet"),
         )
+        h, r = typo_arrays([])
+    elif sum(os.path.getsize(f) for f in files) < 4 << 30:
+        import polars as pl
+
+        t = pads.dataset(files).to_table(columns=["term", "df", "cf"])
+        out = (
+            pl.from_arrow(t)
+            .group_by("term")  # salted segments of one term sum up
+            .agg(pl.col("df").sum(), pl.col("cf").sum())
+            .sort("term")
+            .to_arrow()
+        )
+        atomic_write_parquet(
+            out, os.path.join(d, "termdict-00000.parquet"),
+            row_group_size=8192,
+        )
+        h, r = typo_arrays(out["term"].to_pylist())
     else:
-        total_bytes = sum(os.path.getsize(f) for f in files)
-        if total_bytes < 4 << 30:
-            import polars as pl
+        from ray.data.aggregate import Sum
 
-            t = pads.dataset(files).to_table(columns=["term", "df", "cf"])
-            out = (
-                pl.from_arrow(t)
-                .group_by("term")  # salted segments of one term sum up
-                .agg(pl.col("df").sum(), pl.col("cf").sum())
-                .sort("term")
-                .to_arrow()
-            )
-            atomic_write_parquet(
-                out, os.path.join(d, "termdict-00000.parquet"),
-                row_group_size=8192,
-            )
-        else:
-            from ray.data.aggregate import Sum
-
-            ds = ray.data.read_parquet(files, columns=["term", "df", "cf"])
-            agg = ds.groupby("term").aggregate(
-                Sum("df", alias_name="df"), Sum("cf", alias_name="cf")
-            )
-            agg.sort("term").write_parquet(d, row_group_size=8192)
+        ds = ray.data.read_parquet(files, columns=["term", "df", "cf"])
+        agg = ds.groupby("term").aggregate(
+            Sum("df", alias_name="df"), Sum("cf", alias_name="cf")
+        )
+        agg.sort("term").write_parquet(d, row_group_size=8192)
+        # rows must index the dictionary as the engine reads it back
+        terms = pads.dataset(d).to_table(columns=["term"])["term"]
+        rows = ray.data.from_arrow(pa.table({
+            "term": terms,
+            "row": pa.array(np.arange(len(terms), dtype=np.int32)),
+        })).map_batches(_neighbourhood_batch, batch_format="pyarrow",
+                        batch_size=4096).sort(["hash", "row"])
+        t = pa.concat_tables(ray.get(rows.to_arrow_refs()))
+        h = t["hash"].to_numpy().astype(np.uint32)
+        r = t["row"].to_numpy().astype(np.int32)
+    _atomic_save_npy(os.path.join(td, "hash.npy"), h)
+    _atomic_save_npy(os.path.join(td, "row.npy"), r)
     manifest.mark_phase_done("dict", {"wall_s": time.time() - t0})
     return d
 
 
-def _typo_neighborhood_rows(batch: pa.Table) -> pa.Table:
-    """(term, df) rows -> (variant, term, df) SymSpell deletion-neighborhood
-    rows at the MAXIMUM query budget (2 deletions for EVERY term,
-    kernel/typo.py MAX_TYPOS): any request-time minWordSizeForTypos
-    setting yields a query budget b <= 2, and the SymSpell property
-    (dl(q, t) <= b => a shared variant within b deletions of each) then
-    holds against this index for ALL thresholds, not just the defaults —
-    so custom typoTolerance settings keep the pruned-range-read path
-    (VERDICT r4 item #6). Cost vs the old per-length budget: only terms
-    shorter than TWO_TYPO_MIN_LEN-2 gain variants (short words, few
-    deletions each) — measured ~1.2x rows on the fixture dictionary."""
-    from ..kernel.typo import MAX_TYPOS, deletion_variants
-
-    vs: list = []
-    ts: list = []
-    dfs: list = []
-    for t, df in zip(batch["term"].to_pylist(), batch["df"].to_pylist()):
-        for v in deletion_variants(t, MAX_TYPOS):
-            vs.append(v)
-            ts.append(t)
-            dfs.append(int(df))
-    return pa.table({"variant": pa.array(vs, pa.string()),
-                     "term": pa.array(ts, pa.string()),
-                     "df": pa.array(dfs, pa.int64())})
-
-
 def build_typo_index(out_dir: str) -> str:
-    """Phase 'typodict' (OPT-IN, after 'dict'): the SymSpell deletion
-    neighborhood of the term dictionary as a globally variant-SORTED parquet
-    with small row groups, so typo expansion becomes a stats-pruned range
-    read (the same trick the sorted termdict plays for prefixes) instead of
-    a driver-side vocabulary scan. Opt-in because serving falls back to the
-    in-memory prefilter transparently (SearchEngine.expand_typo) and small
-    indexes don't need the ~O(vocab x len^2) rows. Driver polars path below
-    512 MiB of dictionary, Ray map_batches + sort above."""
-    import pyarrow.dataset as pads
-
-    manifest = BuildManifest(out_dir)
-    d = os.path.join(out_dir, "typodict")
-    if manifest.phase_done("typodict"):
-        return d
-    td = build_term_dict(out_dir)  # no-op when the dict phase is done
-    os.makedirs(d, exist_ok=True)
-    for f in os.listdir(d):  # discard a crashed run's partial files
-        os.remove(os.path.join(d, f))
-    t0 = time.time()
-    files = [os.path.join(td, f) for f in os.listdir(td)
-             if f.endswith(".parquet")]
-    if sum(os.path.getsize(f) for f in files) < 512 << 20:
-        import polars as pl
-
-        rows = _typo_neighborhood_rows(
-            pads.dataset(files).to_table(columns=["term", "df"]))
-        out = pl.from_arrow(rows).sort(["variant", "term"]).to_arrow()
-        atomic_write_parquet(
-            out.cast(rows.schema), os.path.join(d, "typodict-00000.parquet"),
-            row_group_size=8192,
-        )
-    else:
-        ds = ray.data.read_parquet(files, columns=["term", "df"])
-        ds.map_batches(_typo_neighborhood_rows, batch_format="pyarrow",
-                       batch_size=4096).sort(["variant", "term"]).write_parquet(
-            d, row_group_size=8192)
-    # budget marker: engines only use this dict for NON-default
-    # typoTolerance thresholds when it was built at the max budget
-    manifest.mark_phase_done("typodict", {"wall_s": time.time() - t0,
-                                          "budget": "max"})
-    return d
+    """The typo arrays' directory: build_term_dict writes them with the
+    dictionary, so this only ensures the 'dict' phase ran."""
+    build_term_dict(out_dir)
+    return os.path.join(out_dir, "typodict")
 
 
 def build_index(pages_path: str, out_dir: str, config: EngineConfig | None = None, *,

@@ -295,6 +295,18 @@ class GenerationalEngine(SearchEngine):
             total += eng.warm()
         return total
 
+    def _typo_matches(self, term: str, budget: int, one_typo: int,
+                      two_typos: int) -> dict[str, tuple[int, int]]:
+        """Every generation's verified candidates (a delta has its own typo
+        arrays), each with its live df: the shadow-filtered segments' count,
+        as a rebuild of the merged corpus would store it. Summing the
+        generations' dictionary dfs would count a re-versioned doc twice."""
+        found = super()._typo_matches(term, budget, one_typo, two_typos)
+        for eng in self._gen_engines:
+            found.update(eng._typo_matches(term, budget, one_typo, two_typos))
+        return {t: (ty, df) for t, (ty, _) in found.items()
+                if (df := self.df(t))}
+
     def expand_prefix(self, prefix: str, limit: int = 10) -> list[str]:
         """df-ranked prefix terms across generations (dfs summed; shadowed
         old postings are a negligible over-count for ranking suggestions).

@@ -300,12 +300,7 @@ class SearchEngine:
                 self.meta.get("non_separator_tokens", ())),
         )
         self._tokenizer = tokenizer  # built lazily (trie cost)
-        self._typo_vocab = None  # (terms, dfs, lens, first) built lazily
-        self._typodict_ok: bool | None = None  # typodict phase marker cache
-        self._typodict_budget: str = "none"  # "max" | "legacy" | "none"
-        # the typodict's open files, each with its row groups' (min, max)
-        # variant stats (None: no stats), read once with the marker
-        self._typodict_files: list = []
+        self._typo = None  # (hashes, rows, terms, dfs), read once
 
     # ------------- loading -------------
 
@@ -1026,103 +1021,61 @@ class SearchEngine:
 
     # ------------- typo tolerance -------------
 
-    def _typo_vocabulary(self):
-        """The whole term dictionary as vectorized-prefilter arrays
-        (terms, dfs, codepoint lens, first chars), built once per engine.
-        Vocabulary-sized — the same driver footprint as one shard scan; the
-        100-TB path precomputes the SymSpell deletion-neighborhood over the
-        sorted dictionary (the distributed bucketing in
-        pipelines/simple_text.typo_expand) so expansion becomes a pruned
-        range read instead of an in-memory prefilter."""
-        if self._typo_vocab is None:
-            hits = self._prefix_hits("")  # termdict read or full shard scan
-            terms = np.array([t for _, t in hits], dtype=object)
-            dfs = np.array([-d for d, _ in hits], dtype=np.int64)
-            lens = np.array([len(t) for t in terms], dtype=np.int64)
-            first = np.array([t[:1] for t in terms], dtype=object)
-            self._typo_vocab = (terms, dfs, lens, first)
-        return self._typo_vocab
+    def _typo_arrays(self):
+        """(hashes, rows, terms, dfs): the SymSpell arrays build_term_dict
+        wrote (memory-mapped) and the dictionary's term and df columns they
+        index, read once. Gated on the 'dict' phase marker like
+        _termdict_prefix; an index without them (the pre-dictionary layout)
+        gets the same arrays built in memory from its vocabulary."""
+        if self._typo is None:
+            from ..state.manifest import BuildManifest
 
-    def _typodict_candidates(self, variants: list[str], *,
-                             require_max_budget: bool = False):
-        """(term, df) candidates whose SymSpell neighborhood intersects the
-        query's deletion variants, via a stats-pruned read of the
-        variant-SORTED typodict parquet (build_typo_index). None when the
-        phase was never built (fall back to the in-memory prefilter). Gated
-        on the manifest marker like termdict — a crashed typodict write
-        must not silently truncate expansion.
+            td = os.path.join(self.index_dir, "typodict")
+            if BuildManifest(self.index_dir).phase_done("dict") and \
+                    os.path.exists(os.path.join(td, "row.npy")):
+                import pyarrow.dataset as pads
 
-        require_max_budget: the caller is expanding under NON-default
-        minWordSizeForTypos; only a max-budget dict (every term's full
-        2-deletion neighborhood, marker "budget": "max" in the phase done
-        file) covers arbitrary thresholds — a legacy per-length-budget
-        dict would silently miss short-word candidates, so return None
-        (vocabulary fallback) instead."""
-        import bisect
+                t = pads.dataset(os.path.join(
+                    self.index_dir, "termdict")).to_table(
+                        columns=["term", "df"])
+                self._typo = (
+                    np.load(os.path.join(td, "hash.npy"), mmap_mode="r"),
+                    np.load(os.path.join(td, "row.npy"), mmap_mode="r"),
+                    t["term"].combine_chunks(), t["df"].combine_chunks())
+            else:
+                import pyarrow as pa
 
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
+                from .build import typo_arrays
 
-        from ..state.manifest import BuildManifest
+                hits = self._prefix_hits("")
+                terms = [t for _, t in hits]
+                self._typo = (*typo_arrays(terms),
+                              pa.array(terms, pa.string()),
+                              pa.array([-d for d, _ in hits], pa.int64()))
+        return self._typo
 
-        d = os.path.join(self.index_dir, "typodict")
-        if self._typodict_ok is None:
-            self._typodict_ok = (
-                BuildManifest(self.index_dir).phase_done("typodict")
-                and os.path.isdir(d)
-                and any(f.endswith(".parquet") for f in os.listdir(d))
-            )
-            self._typodict_budget = "none"
-            if self._typodict_ok:
-                try:
-                    with open(os.path.join(self.index_dir, "_manifest",
-                                           "typodict.done")) as f:
-                        self._typodict_budget = json.load(f).get(
-                            "budget", "legacy")
-                except (OSError, ValueError):
-                    self._typodict_budget = "legacy"
-                for fname in sorted(os.listdir(d)):
-                    if not fname.endswith(".parquet"):
-                        continue
-                    pf = pq.ParquetFile(os.path.join(d, fname))
-                    md = pf.metadata
-                    vi = pf.schema_arrow.get_field_index("variant")
-                    stats = [md.row_group(rg).column(vi).statistics
-                             for rg in range(md.num_row_groups)]
-                    self._typodict_files.append((pf, [
-                        (st.min, st.max)
-                        if st is not None and st.has_min_max else None
-                        for st in stats]))
-        if not self._typodict_ok:
-            return None
-        if require_max_budget and self._typodict_budget != "max":
-            return None
-        # explicit row-group pruning on the variant-SORTED layout: a row
-        # group matters only if its [min, max] variant range contains one
-        # of the query's deletion variants (binary search per group). The
-        # dataset-level isin filter alone decoded every row group — at a
-        # 500k-term dictionary (16.9M neighborhood rows) that was ~1.8 s
-        # per expansion vs ~ms with the pruned read (BASELINE.md r5).
-        tables = []
-        for pf, ranges in self._typodict_files:
-            keep = []
-            for rg, mm in enumerate(ranges):
-                if mm is not None:
-                    i = bisect.bisect_left(variants, mm[0])
-                    if i == len(variants) or variants[i] > mm[1]:
-                        continue
-                keep.append(rg)
-            if keep:
-                t = pf.read_row_groups(keep,
-                                       columns=["variant", "term", "df"])
-                tables.append(t.filter(
-                    pc.field("variant").isin(variants)))
-        out: dict[str, int] = {}
-        for t in tables:
-            for term, df in zip(t["term"].to_pylist(),
-                                t["df"].to_pylist()):
-                out[term] = int(df)
-        return list(out.items())
+    def _typo_matches(self, term: str, budget: int, one_typo: int,
+                      two_typos: int) -> dict[str, tuple[int, int]]:
+        """{candidate: (typos, dictionary df)} for every dictionary term
+        other than `term` within its typo budget: the query's deletion
+        variants are hashed and looked up with searchsorted, and every term
+        a hit row names is verified with exact Damerau-Levenshtein."""
+        from ..kernel.typo import deletion_variants, typo_matches, variant_hash
+
+        hashes, rows, terms, dfs = self._typo_arrays()
+        q = np.fromiter(map(variant_hash, deletion_variants(term, budget)),
+                        dtype=np.uint32)
+        lo = np.searchsorted(hashes, q, "left")
+        hit = np.unique(rows[_ragged(lo, np.searchsorted(hashes, q, "right")
+                                     - lo)])
+        out = {}
+        for t, df in zip(terms.take(hit).to_pylist(),
+                         dfs.take(hit).to_pylist()):
+            ty = None if t == term else typo_matches(term, t, one_typo,
+                                                     two_typos)
+            if ty is not None:
+                out[t] = (ty, df)
+        return out
 
     def expand_typo(self, term: str, limit: int = 5, *,
                     one_typo: int | None = None,
@@ -1131,52 +1084,27 @@ class SearchEngine:
         (kernel/typo.py: 5-8 chars allow 1 typo, >=9 allow 2; adjacent swap
         = 1 typo; first-letter typo counts as 2 — the reference only passes
         `typo_tolerance` options through to Meilisearch,
-        query_processor.py:671,693). Candidates come from the prebuilt
-        SymSpell typodict when the index has one (a pruned range read —
-        the 100-TB path), else from a vectorized in-memory prefilter
-        (length band <= budget; first char must match when the budget is 1,
-        since a first-letter typo alone costs 2). Either way every survivor
-        is verified with exact Damerau-Levenshtein, so both paths return
-        IDENTICAL expansions (asserted in tests). Ranked (fewest typos,
-        highest df, term).
+        query_processor.py:671,693). Candidates come from the SymSpell
+        arrays written with the term dictionary (one searchsorted over the
+        hashed deletion variants, _typo_matches), each verified with exact
+        Damerau-Levenshtein, so the result equals a scan of the whole
+        vocabulary (asserted in tests). Ranked (fewest typos, highest df,
+        term).
 
         one_typo / two_typos override Meilisearch's
-        typoTolerance.minWordSizeForTypos per request. A typodict built at
-        the MAX budget (build_typo_index marker "budget": "max" — every
-        term's full 2-deletion neighborhood) serves ANY thresholds, since
-        every query budget is <= 2 and the SymSpell shared-variant
-        property then holds unconditionally; only a legacy
-        per-length-budget dict forces custom thresholds onto the
-        vocabulary-scan path (VERDICT r4 item #6 closed)."""
+        typoTolerance.minWordSizeForTypos per request. The arrays hold every
+        term's full MAX_TYPOS-deletion neighbourhood and every query budget
+        is <= MAX_TYPOS, so the same lookup serves any thresholds."""
         from ..kernel.typo import (ONE_TYPO_MIN_LEN, TWO_TYPO_MIN_LEN,
-                                   deletion_variants, typo_budget,
-                                   typo_matches)
+                                   typo_budget)
 
         o = ONE_TYPO_MIN_LEN if one_typo is None else one_typo
         tw = TWO_TYPO_MIN_LEN if two_typos is None else two_typos
         b = typo_budget(term, o, tw)
         if b == 0:
             return []
-        custom = (o, tw) != (ONE_TYPO_MIN_LEN, TWO_TYPO_MIN_LEN)
-        cands = self._typodict_candidates(
-            sorted(deletion_variants(term, b)),
-            require_max_budget=custom)
-        if cands is None:
-            terms, dfs, lens, first = self._typo_vocabulary()
-            if not terms.size:
-                return []
-            keep = np.abs(lens - len(term)) <= b
-            if b == 1:
-                keep &= first == term[0]
-            cands = [(t, int(df)) for t, df in zip(terms[keep], dfs[keep])]
-        scored = []
-        for t, df in cands:
-            if t == term:
-                continue
-            ty = typo_matches(term, t, o, tw)
-            if ty is not None:
-                scored.append((ty, -int(df), t))
-        scored.sort()
+        scored = sorted((ty, -df, t) for t, (ty, df)
+                        in self._typo_matches(term, b, o, tw).items())
         return [t for _, _, t in scored[:limit]]
 
     # ------------- public search -------------

@@ -16,10 +16,13 @@ bit-identical with DuckDB's damerau_levenshtein() so the expansion operator is
 SQL-hash-verifiable. The candidate generator is the SymSpell deletion
 neighborhood (Garbe, public domain): if dl(a, b) <= d then a and b share a
 variant obtainable by <= d deletions from each — asserted exhaustively in
-tests for d <= 2, which is the maximum budget.
+tests for d <= 2, which is the maximum budget. Engines look the
+neighborhood up by `variant_hash` (index/build.py:typo_arrays).
 """
 
 from __future__ import annotations
+
+import zlib
 
 ONE_TYPO_MIN_LEN = 5  # Meilisearch default minWordSizeForTypos.oneTypo
 TWO_TYPO_MIN_LEN = 9  # Meilisearch default minWordSizeForTypos.twoTypos
@@ -94,6 +97,12 @@ def deletion_variants(word: str, budget: int) -> set[str]:
         out |= nxt
         frontier = nxt
     return out
+
+
+def variant_hash(variant: str) -> int:
+    """The 32-bit key a deletion variant is stored and looked up under
+    (CRC-32 of its UTF-8 bytes, computed in C)."""
+    return zlib.crc32(variant.encode())
 
 
 def typo_matches(query: str, cand: str,

@@ -153,9 +153,10 @@ class SearchOptions:
     #   {"minWordSizeForTypos": {"oneTypo": int, "twoTypos": int},
     #    "disableOnWords": [word, ...]}
     # minWordSizeForTypos tightens/loosens the length budgets per request
-    # (custom thresholds take the verified vocabulary path — the typodict
-    # is precomputed under the defaults); disableOnWords suppresses
-    # expansion for exact listed words (Meilisearch semantics)
+    # (expand_typo serves any thresholds from the same typo arrays);
+    # disableOnWords suppresses expansion for exact listed words
+    # (Meilisearch semantics). Both apply to retrieval and to the ranking
+    # rules chain's typo credit alike
     typo_settings: dict | None = None
     # Meilisearch sort criteria (requests.py:15): ["field:asc"|"field:desc",
     # ...] over the sortable doc-metadata fields; relevancy rank breaks
@@ -630,18 +631,25 @@ class SearchProxy:
         return out
 
     def _typo_derivations(self, terms: list[str],
-                          options: SearchOptions | None
+                          options: SearchOptions | None,
+                          memo: dict[str, list[str]]
                           ) -> dict[str, list[str]]:
-        """Each distinct word's typo derivations (expand_typo, 3 per word)
-        under the request's typoTolerance settings: minWordSizeForTypos
-        thresholds, none for disableOnWords."""
+        """Each distinct word's ranked typo derivations (expand_typo, 8 per
+        word; retrieval takes the first 3) under the request's typoTolerance
+        settings: minWordSizeForTypos thresholds, none for disableOnWords
+        or under typo_tolerance=False. `memo` holds the request's words
+        already expanded."""
         ts = (options.typo_settings or {}) if options else {}
         mws = ts.get("minWordSizeForTypos") or {}
-        disabled = set(ts.get("disableOnWords") or ())
-        return {t: [] if t in disabled else self.engine.expand_typo(
-                    t, 3, one_typo=mws.get("oneTypo"),
+        off = set(ts.get("disableOnWords") or ())
+        if options is not None and options.typo_tolerance is False:
+            off = set(terms)
+        for t in dict.fromkeys(terms):
+            if t not in memo:
+                memo[t] = [] if t in off else self.engine.expand_typo(
+                    t, 8, one_typo=mws.get("oneTypo"),
                     two_typos=mws.get("twoTypos"))
-                for t in dict.fromkeys(terms)}
+        return {t: memo[t] for t in dict.fromkeys(terms)}
 
     @property
     def tokenizer(self):
@@ -957,6 +965,7 @@ class SearchProxy:
                           for v in variants}
 
         candidates: list[tuple] = []  # (hit_dict, score, variant, position)
+        typo_memo: dict[str, list[str]] = {}  # _typo_derivations per word
         for variant in variants:
             terms = self.expand_synonyms(variant.terms)
             strat = strategies.get(variant.variant_type, "any")
@@ -969,7 +978,8 @@ class SearchProxy:
                 options.typo_tolerance if options is not None
                 and options.typo_tolerance is not None
                 else variant.variant_type == FALLBACK)
-            der = self._typo_derivations(terms, options) if use_typo else {}
+            der = ({t: ds[:3] for t, ds in self._typo_derivations(
+                terms, options, typo_memo).items()} if use_typo else {})
             if strat == "frequency":
                 # every word required, matching through its derivations
                 words = [[t] + der.get(t, []) for t in dict.fromkeys(terms)]
@@ -1148,7 +1158,7 @@ class SearchProxy:
             out = self._apply_sort(out, sort_crit)[offset:offset + k]
         elif rules_rank:
             out = self._rules_chain_order(
-                query, out,
+                query, out, options, typo_memo,
                 want_details=bool(options
                                   and options.show_ranking_score_details),
             )[offset:offset + k]
@@ -1234,6 +1244,8 @@ class SearchProxy:
         }
 
     def _rules_chain_order(self, query: str, hits: list[dict],
+                           options: SearchOptions,
+                           typo_memo: dict[str, list[str]],
                            want_details: bool = False) -> list[dict]:
         """Order hits by the Meilisearch ranking-rules chain (reference
         settings_manager.py:140: words, typo, proximity, attribute,
@@ -1243,13 +1255,15 @@ class SearchProxy:
         All buckets derive from the positional index — document text is
         never read. One doc_term_positions gather over all hits reads the
         query's words; a second reads the typo derivations of the words
-        some hit lacks. From those: per-word direct/typo presence,
+        some hit lacks (_typo_derivations under the request's typo
+        options, shared with retrieval through `typo_memo`). From those:
+        per-word direct/typo presence,
         proximity via the min covering window of the direct matches,
         attribute (searchableAttributes order [title, content],
         settings_manager.py:81-86) via the per-doc title_tc token-prefix
         boundary, exactness via phrase_rows — in-order adjacent occurrence
         of the query's primary-term sequence."""
-        from ..kernel.typo import typo_matches
+        from ..kernel.typo import effective_typos
 
         eng = self.engine
         seq = eng.phrase_seq(query)
@@ -1268,12 +1282,11 @@ class SearchProxy:
         gathered = eng.doc_term_positions(ids, uniq)
         exact_rows = phrase_rows(gathered, seq, len(ids))
         lists = {t: per_doc(g) for t, g in gathered.items()}
-        expand = getattr(eng, "expand_typo", None)
         # (derivation, typo count) per word some hit lacks
-        derivs = {t: [(x, nt) for x in expand(t, 8)
-                      if (nt := typo_matches(t, x))]
-                  for t in uniq
-                  if expand is not None and not gathered[t][0].all()}
+        lacking = [t for t in uniq if not gathered[t][0].all()]
+        derivs = {t: [(x, effective_typos(t, x)) for x in ds]
+                  for t, ds in self._typo_derivations(
+                      lacking, options, typo_memo).items()}
         lists.update((x, per_doc(g)) for x, g in eng.doc_term_positions(
             ids, [x for c in derivs.values() for x, _ in c]).items())
         keyed = []

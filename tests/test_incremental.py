@@ -136,6 +136,34 @@ def test_incremental_newest_wins(incr):
     assert hits == updated  # only re-ingested docs contain "updated"
 
 
+def _planted(w: str) -> str:
+    """w with its third letter substituted (a typo after the first letter)."""
+    return w[:2] + ("x" if w[2:3] != "x" else "q") + w[3:]
+
+
+def test_incremental_expand_typo_equals_rebuild(incr):
+    """Typo expansion over base + delta proposes every generation's
+    candidates, ranked by live df: for every term of the rebuild and a
+    planted typo of each, it equals the rebuild's, including "updated",
+    a word only the delta holds."""
+    import pyarrow.dataset as pads
+
+    _root, base, ref, _a, _b = incr
+    ge = GenerationalEngine(base)
+    re = SearchEngine(ref)
+
+    def vocab(d):
+        return pads.dataset(os.path.join(d, "termdict")).to_table(
+            columns=["term"])["term"].to_pylist()
+
+    words = vocab(ref)
+    assert "updated" in words and "updated" not in vocab(base)
+    assert ge.expand_typo(_planted("updated")) == ["updated"]
+    for w in words:
+        for q in (w, _planted(w)):
+            assert ge.expand_typo(q, 20) == re.expand_typo(q, 20), q
+
+
 def test_incremental_phrase_across_generations(incr):
     _root, base, _ref, a, _b = incr
     ge = GenerationalEngine(base)
@@ -296,6 +324,13 @@ def test_compact_bit_identical_to_generational(incr, tmp_path):
     # prefix dictionary was rebuilt (sorted termdict, not shard fallback)
     assert os.path.isdir(os.path.join(out, "termdict"))
     assert ce.expand_prefix("wa")
+    # and its typo arrays, which expand like the generational view
+    assert sorted(os.listdir(os.path.join(out, "typodict"))) == \
+        ["hash.npy", "row.npy"]
+    for w in sorted({t for terms in QUERIES for t in terms}):
+        for q in (w, _planted(w)):
+            assert ce.expand_typo(q, 20) == ge.expand_typo(q, 20), q
+    assert ce.expand_typo(_planted("wakame")) == ["wakame"]
 
 
 def test_compact_idempotent_resume(incr, tmp_path):

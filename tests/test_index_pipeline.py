@@ -214,6 +214,15 @@ def test_matching_strategy_all(built, oracle, tok):
     assert checked >= 5  # multi-term AND still matches somewhere in the corpus
 
 
+def _dict_vocab(index_dir: str) -> list[tuple[str, int]]:
+    """Every (term, df) of the index's sorted term dictionary."""
+    import pyarrow.dataset as pads
+
+    t = pads.dataset(os.path.join(index_dir, "termdict")).to_table(
+        columns=["term", "df"])
+    return list(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+
+
 def test_matching_strategy_frequency(built):
     """'frequency' drops the highest-df word; 'last' drops the trailing one.
 
@@ -222,8 +231,7 @@ def test_matching_strategy_frequency(built):
     removed first when the conjunction is empty."""
     _, out, _ = built
     eng = SearchEngine(out)
-    terms, dfs, _, _ = eng._typo_vocabulary()
-    vocab = sorted(zip(terms.tolist(), dfs.tolist()), key=lambda x: -x[1])
+    vocab = sorted(_dict_vocab(out), key=lambda x: -x[1])
     found = None
     for hi, dh in vocab[:40]:
         for lo, dl in vocab[-200:]:
@@ -256,8 +264,7 @@ def test_matching_strategy_backfill(built):
     docs matching fewer, earlier-bucket docs are never re-emitted."""
     _, out, _ = built
     eng = SearchEngine(out)
-    terms, dfs, _, _ = eng._typo_vocabulary()
-    vocab = sorted(zip(terms.tolist(), dfs.tolist()), key=lambda x: -x[1])
+    vocab = sorted(_dict_vocab(out), key=lambda x: -x[1])
     # a two-word query whose conjunction is NON-empty but smaller than k:
     # backfill must append the relaxed bucket's docs after it
     found = None
@@ -315,8 +322,7 @@ def test_matching_strategy_frequency_ranks_words_by_live_docs(built,
 
     _, out, _ = built
     eng = SearchEngine(out)
-    terms, dfs, _, _ = eng._typo_vocabulary()
-    vocab = sorted(zip(terms.tolist(), dfs.tolist()), key=lambda x: -x[1])
+    vocab = sorted(_dict_vocab(out), key=lambda x: -x[1])
     found = None
     for hi, dh in vocab[:40]:
         for lo, dl in vocab[-200:]:

@@ -83,6 +83,22 @@ def test_reindex_drops_tombstones(built):
     # stats reflect the smaller corpus
     assert meta["n_docs"] == len(new_ids)
     assert eng.search("อาหาร", k=3)
+    # the reindexed dictionary carries its typo arrays; expansions are the
+    # source's, less the terms only the dropped docs held
+    from meilisearch_thai_ray.fixtures.queries import QUERY_FIXTURES
+
+    assert sorted(os.listdir(os.path.join(out2, "typodict"))) == \
+        ["hash.npy", "row.npy"]
+    src = SearchEngine(out)
+    words = {t for f in QUERY_FIXTURES for t in src.query_terms(f["query"])}
+    expanded = 0
+    for w in sorted(words):
+        for q in (w, w[:2] + "ß" + w[3:]):
+            got = eng.expand_typo(q, 1000)
+            assert set(got) == {t for t in src.expand_typo(q, 1000)
+                                if eng.df(t)}, q
+            expanded += bool(got)
+    assert expanded
 
 def test_tombstone_files_content_named(built):
     """Tombstone files are named by the content hash of their id set, so

@@ -123,6 +123,43 @@ def test_typo_bucket_orders_exact_above_expanded(rules_index):
     assert ranked.index(exact_doc) < ranked.index(typo_doc)
 
 
+def _details(out, query, **opts):
+    proxy = SearchProxy(SearchEngine(out), docs_path=f"{out}/docs")
+    hits = proxy.search(query, options=SearchOptions(
+        limit=10, ranking_rules=True, show_ranking_score_details=True,
+        matching_strategy="any", **opts))
+    return {h["doc_id"]: (h["_rankingScoreDetails"]["words"]["matchedWords"],
+                          h["_rankingScoreDetails"]["typo"]["typoCount"])
+            for h in hits}
+
+
+def test_rules_chain_typo_credit_uses_request_thresholds(rules_index):
+    """Under oneTypo=3 the 4-char 'rica' retrieves 'rice' (doc 0), and
+    the chain credits that hit with the word at one typo."""
+    out, urls = rules_index
+    det = _details(out, "rica", typo_tolerance=True, typo_settings={
+        "minWordSizeForTypos": {"oneTypo": 3}})
+    assert det[_doc_of(urls[0])] == (1, 1)
+
+
+def test_rules_chain_typo_credit_respects_disable_on_words(rules_index):
+    """'fish' retrieves doc 3, which holds 'grilied', a 1-typo derivation
+    of 'grilled': credited by default, not when 'grilled' is listed in
+    disableOnWords."""
+    out, urls = rules_index
+    typo_doc = _doc_of(urls[3])
+    assert _details(out, "grilled fish")[typo_doc] == (2, 1)
+    det = _details(out, "grilled fish",
+                   typo_settings={"disableOnWords": ["grilled"]})
+    assert det[typo_doc] == (1, 0)
+
+
+def test_rules_chain_typo_credit_off_without_typo_tolerance(rules_index):
+    out, urls = rules_index
+    det = _details(out, "grilled fish", typo_tolerance=False)
+    assert det[_doc_of(urls[3])] == (1, 0)
+
+
 def test_exactness_orders_phrase_above_scrambled(rules_index):
     out, urls = rules_index
     proxy = SearchProxy(SearchEngine(out), docs_path=f"{out}/docs")

@@ -1138,7 +1138,7 @@ def _assert_clustering_matches_brute_force(monkeypatch, eng, docs_path,
     if cap is not None:
         monkeypatch.setattr(sp, "MAX_SIMILARITY_COMPARISONS", cap)
     monkeypatch.setattr(SearchProxy, "_rules_chain_order",
-                        lambda self, query, hits, want_details=False: hits)
+                        lambda self, query, hits, *args, **kwargs: hits)
     docs = pq.read_table(docs_path, columns=["doc_id", "text"])
     texts = dict(zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()))
 
@@ -1185,7 +1185,7 @@ def _assert_clustering_matches_brute_force(monkeypatch, eng, docs_path,
 @pytest.fixture(scope="module")
 def neardup_pages_index(ray_session, tmp_path_factory):
     """200 benchmark-sized fixture pages plus a near-duplicate (a few
-    characters edited) of every fourth page, with a typo index."""
+    characters edited) of every fourth page."""
     import os
     import random
 
@@ -1193,7 +1193,6 @@ def neardup_pages_index(ray_session, tmp_path_factory):
     import pyarrow.parquet as pq
 
     from meilisearch_thai_ray.fixtures.pages import generate_pages
-    from meilisearch_thai_ray.index.build import build_typo_index
 
     root = tmp_path_factory.mktemp("neardup_pages")
     pages = root / "pages"
@@ -1212,7 +1211,6 @@ def neardup_pages_index(ray_session, tmp_path_factory):
     out = str(root / "index")
     build_index(str(pages), out, EngineConfig(num_shards=4), num_salts=1,
                 batch_size=64)
-    build_typo_index(out)
     return SearchEngine(out), os.path.join(out, "docs")
 
 
@@ -1335,7 +1333,7 @@ def _inline_strategy_hits(self, variants, options):
 
 @pytest.fixture(scope="module")
 def strategy_grid(ray_session, tmp_path_factory):
-    """A 300-page index with a typo index, a copy with 45 docs
+    """A 300-page index, a copy with 45 docs
     tombstoned, and queries: the fixtures plus mined df-disjoint pairs,
     triples, misspelled words (alone, with another word, with the word
     they misspell), repeated words, ghost words and pairs of
@@ -1348,7 +1346,6 @@ def strategy_grid(ray_session, tmp_path_factory):
     import pyarrow.parquet as pq
 
     from meilisearch_thai_ray.fixtures.queries import QUERY_FIXTURES
-    from meilisearch_thai_ray.index.build import build_typo_index
     from meilisearch_thai_ray.index.maintenance import delete_docs
 
     root = tmp_path_factory.mktemp("strategy_grid")
@@ -1356,13 +1353,13 @@ def strategy_grid(ray_session, tmp_path_factory):
     write_pages_parquet(pages, 300, rows_per_file=100)
     build_index(pages, out, EngineConfig(num_shards=4), num_salts=2,
                 batch_size=64)
-    build_typo_index(out)
     shutil.copytree(out, tomb)
     rng = random.Random(4)
     ids = pq.read_table(f"{out}/docs", columns=["doc_id"])["doc_id"]
     delete_docs(tomb, rng.sample(ids.to_pylist(), 45))
     eng = SearchEngine(out)
-    vocab = eng._typo_vocabulary()[0].tolist()
+    vocab = pq.read_table(f"{out}/termdict", columns=["term"])["term"] \
+        .to_pylist()
     docs = {t: set(eng.word_docs([t]).tolist()) for t in vocab}
     mid = sorted(t for t in vocab if 2 <= len(docs[t]) <= 60)
     mined = []

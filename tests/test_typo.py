@@ -6,15 +6,21 @@ The distance kernel must be BIT-IDENTICAL to DuckDB damerau_levenshtein()
 used by pipelines/simple_text.typo_expand must have no false negatives for
 every (query, term) pair the budget rules can ever accept."""
 
+import os
 import random
+import zlib
 from itertools import combinations, product
 
 import duckdb
+import pyarrow as pa
+import pyarrow.dataset as pads
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meilisearch_thai_ray.config import EngineConfig
 from meilisearch_thai_ray.fixtures.pages import write_pages_parquet
-from meilisearch_thai_ray.index.build import build_index
+from meilisearch_thai_ray.index.build import build_index, typo_arrays
 from meilisearch_thai_ray.index.search import SearchEngine
 from meilisearch_thai_ray.kernel.typo import (
     ONE_TYPO_MIN_LEN,
@@ -116,11 +122,46 @@ def typo_engine(ray_session, tmp_path_factory):
     return SearchEngine(out)
 
 
+def _vocab(eng) -> list[tuple[str, int]]:
+    """Every (term, df) of the engine's dictionary, in dictionary order."""
+    t = pads.dataset(os.path.join(eng.index_dir, "termdict")).to_table(
+        columns=["term", "df"])
+    return list(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+
+
+def _terms(eng) -> list[str]:
+    return [t for t, _ in _vocab(eng)]
+
+
+def _reference_expand(vocab, q, limit, one_typo=ONE_TYPO_MIN_LEN,
+                      two_typos=TWO_TYPO_MIN_LEN) -> list[str]:
+    """expand_typo as a scan of the whole vocabulary: every term other than
+    `q` within its budget, ranked (fewest typos, highest df, term)."""
+    scored = sorted(
+        (ty, -df, t) for t, df in vocab
+        if t != q and (ty := typo_matches(q, t, one_typo, two_typos))
+        is not None)
+    return [t for _, _, t in scored[:limit]]
+
+
+def _probes(terms, min_len, edit_at, n=60):
+    """Terms of at least min_len chars, each followed by a planted typo
+    (a substitution at position edit_at), n probes in all."""
+    out = []
+    for t in terms:
+        if len(t) >= min_len:
+            out += [t, t[:edit_at] + "ß" + t[edit_at + 1:]]
+        if len(out) >= n:
+            break
+    assert out
+    return out
+
+
 def test_engine_expand_typo_finds_planted_typos(typo_engine):
-    terms = [t for t in typo_engine._typo_vocabulary()[0]
+    terms = [t for t in _terms(typo_engine)
              if ONE_TYPO_MIN_LEN <= len(t) < TWO_TYPO_MIN_LEN]
     assert terms, "fixture corpus must have 5-8 char indexed terms"
-    vocab = set(typo_engine._typo_vocabulary()[0])
+    vocab = set(_terms(typo_engine))
     checked = 0
     for t in terms[:20]:
         # substitution NOT at the first letter, to a char surely absent
@@ -134,9 +175,9 @@ def test_engine_expand_typo_finds_planted_typos(typo_engine):
 
 
 def test_engine_first_letter_typo_rejected(typo_engine):
-    terms = [t for t in typo_engine._typo_vocabulary()[0]
+    terms = [t for t in _terms(typo_engine)
              if ONE_TYPO_MIN_LEN <= len(t) < TWO_TYPO_MIN_LEN]
-    vocab = set(typo_engine._typo_vocabulary()[0])
+    vocab = set(_terms(typo_engine))
     checked = 0
     for t in terms[:20]:
         typo = "ß" + t[1:]  # first-letter sub: 2 typos > budget 1
@@ -151,113 +192,88 @@ def test_engine_short_words_get_no_expansion(typo_engine):
     assert typo_engine.expand_typo("abc") == []
 
 
-def test_typodict_path_identical_to_inmemory(typo_engine, tmp_path,
-                                             monkeypatch):
-    """Building the SymSpell typodict must not change a single expansion:
-    the pruned-range-read path and the in-memory prefilter path return
-    IDENTICAL ranked lists for every 5+ char vocabulary term and a planted
-    typo of each.  The engine opens each typodict file once, not once per
-    expansion."""
-    import os
+def test_typodict_path_identical_to_inmemory(typo_engine, tmp_path):
+    """The hashed SymSpell arrays written with the dictionary return
+    exactly the vocabulary scan's ranked list for every 5+ char term and a
+    planted typo of each. An index without a dictionary (no 'dict' marker:
+    the pre-dictionary layout) builds the same arrays in memory and agrees
+    too."""
+    import shutil
 
-    import pyarrow.parquet as pq
-
-    from meilisearch_thai_ray.index.build import build_typo_index
-
-    build_typo_index(typo_engine.index_dir)
-    opened = []
-    real_parquet_file = pq.ParquetFile
-
-    def counting_parquet_file(path, *args, **kwargs):
-        opened.append(path)
-        return real_parquet_file(path, *args, **kwargs)
-
-    monkeypatch.setattr(pq, "ParquetFile", counting_parquet_file)
-    with_dict = SearchEngine(typo_engine.index_dir)
-    assert with_dict._typodict_candidates(["anything"]) is not None
-
-    probes = []
-    for t in sorted(typo_engine._typo_vocabulary()[0]):
-        if len(t) >= ONE_TYPO_MIN_LEN:
-            probes.append(t)
-            probes.append(t[:2] + "ß" + t[3:])
-        if len(probes) >= 60:
-            break
-    assert probes
-    for q in probes:
-        via_dict = with_dict.expand_typo(q, limit=20)
-        # typo_engine was constructed before the typodict existed and has
-        # its availability cached as absent -> in-memory path
-        typo_engine._typodict_ok = False
-        via_mem = typo_engine.expand_typo(q, limit=20)
-        assert via_dict == via_mem, q
-    d = os.path.join(typo_engine.index_dir, "typodict")
-    assert sorted(opened) == sorted(
-        os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
+    td = os.path.join(typo_engine.index_dir, "typodict")
+    assert sorted(os.listdir(td)) == ["hash.npy", "row.npy"]
+    legacy = str(tmp_path / "legacy")
+    shutil.copytree(typo_engine.index_dir, legacy)
+    os.remove(os.path.join(legacy, "_manifest", "dict.done"))
+    no_dict = SearchEngine(legacy)
+    vocab = _vocab(typo_engine)
+    for q in _probes(sorted(t for t, _ in vocab), ONE_TYPO_MIN_LEN, 2):
+        want = _reference_expand(vocab, q, 20)
+        assert typo_engine.expand_typo(q, limit=20) == want, q
+        assert no_dict.expand_typo(q, limit=20) == want, q
 
 
-def test_typodict_serves_custom_thresholds(typo_engine, tmp_path):
-    """The max-budget typodict (every term's full 2-deletion
-    neighborhood) must serve CUSTOM minWordSizeForTypos identically to
-    the vocabulary-scan path — the r4 gap where custom settings silently
-    fell back to the O(vocab) scan (VERDICT item #6)."""
-    from meilisearch_thai_ray.index.build import build_typo_index
-
-    build_typo_index(typo_engine.index_dir)
-    with_dict = SearchEngine(typo_engine.index_dir)
-    # the freshly-built dict carries the max-budget marker and is USED
-    # for custom thresholds (None would mean vocabulary fallback)
-    assert with_dict._typodict_candidates(
-        ["anything"], require_max_budget=True) is not None
-    assert with_dict._typodict_budget == "max"
-
-    vocab = sorted(typo_engine._typo_vocabulary()[0])
-    probes = []
-    for t in vocab:
-        if len(t) >= 3:
-            probes.append(t)
-            probes.append(t[:1] + "ß" + t[2:] if len(t) > 2 else t)
-        if len(probes) >= 60:
-            break
-    assert probes
-    # lowered thresholds: 3+ chars get one typo, 5+ get two — exactly the
-    # regime the legacy per-length dict could not serve
+def test_typodict_serves_custom_thresholds(typo_engine):
+    """Custom minWordSizeForTypos ride the same arrays (they hold every
+    term's full 2-deletion neighbourhood, the maximum query budget) and
+    equal the vocabulary scan at every threshold pair."""
+    vocab = _vocab(typo_engine)
+    probes = _probes(sorted(t for t, _ in vocab), 3, 1)
+    # lowered thresholds: 3+ chars get one typo, 5+ get two
     for o, tw in [(3, 5), (1, 4), (4, 6)]:
         for q in probes:
-            via_dict = with_dict.expand_typo(q, limit=20,
-                                             one_typo=o, two_typos=tw)
-            typo_engine._typodict_ok = False
-            via_mem = typo_engine.expand_typo(q, limit=20,
-                                              one_typo=o, two_typos=tw)
-            assert via_dict == via_mem, (o, tw, q)
+            assert typo_engine.expand_typo(q, limit=20, one_typo=o,
+                                           two_typos=tw) == \
+                _reference_expand(vocab, q, 20, o, tw), (o, tw, q)
 
 
-def test_legacy_typodict_refused_for_custom_thresholds(typo_engine):
-    """A dict whose done-marker lacks the max-budget tag must NOT be used
-    for custom thresholds (it could silently miss short-word candidates);
-    default thresholds still use it."""
-    import json as _json
-    import os as _os
+_ALPHABET = "กขคงาิ่abcd"
 
-    from meilisearch_thai_ray.index.build import build_typo_index
 
-    build_typo_index(typo_engine.index_dir)
-    done = _os.path.join(typo_engine.index_dir, "_manifest",
-                         "typodict.done")
-    with open(done) as f:
-        meta = _json.load(f)
-    legacy = dict(meta)
-    legacy.pop("budget", None)
-    try:
-        with open(done, "w") as f:
-            _json.dump(legacy, f)
-        eng = SearchEngine(typo_engine.index_dir)
-        assert eng._typodict_candidates(["x"]) is not None  # defaults: used
-        assert eng._typodict_candidates(
-            ["x"], require_max_budget=True) is None  # custom: refused
-    finally:
-        with open(done, "w") as f:
-            _json.dump(meta, f)
+def _edit(word: str, ops: list[tuple[int, int, str]]) -> str:
+    """Apply up to two edits (0 delete, 1 insert, 2 substitute, 3 swap)."""
+    for op, i, ch in ops:
+        i %= len(word) + 1
+        if op == 0 and i < len(word):
+            word = word[:i] + word[i + 1:]
+        elif op == 1:
+            word = word[:i] + ch + word[i:]
+        elif op == 2 and i < len(word):
+            word = word[:i] + ch + word[i + 1:]
+        elif op == 3 and i + 1 < len(word):
+            word = word[:i] + word[i + 1] + word[i] + word[i + 2:]
+    return word
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.lists(st.text(_ALPHABET, min_size=3, max_size=12), min_size=1,
+                   max_size=25, unique=True),
+    dfs=st.lists(st.integers(1, 4), min_size=25, max_size=25),
+    pick=st.integers(0, 24),
+    ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12),
+                           st.sampled_from(_ALPHABET)), max_size=2),
+    thresholds=st.sampled_from([(5, 9), (3, 5), (1, 4), (4, 6)]),
+)
+def test_typo_lookup_with_colliding_hash_matches_reference(
+        words, dfs, pick, ops, thresholds):
+    """typo_arrays plus the engine's lookup equal the vocabulary scan on
+    Thai and Latin words of 3-12 chars, also under an 8-bit variant hash,
+    where most lookups hit colliding variants the exact check must drop."""
+    from unittest import mock
+
+    words = sorted(words)
+    vocab = list(zip(words, dfs))
+    q = _edit(words[pick % len(words)], ops)
+    o, tw = thresholds
+    want = _reference_expand(vocab, q, 50, o, tw)
+    for h in (zlib.crc32, lambda b: zlib.crc32(b) & 0xFF):
+        with mock.patch("meilisearch_thai_ray.kernel.typo.variant_hash",
+                        lambda v: h(v.encode())):
+            eng = SearchEngine.__new__(SearchEngine)
+            eng._typo = (*typo_arrays(words), pa.array(words),
+                         pa.array([df for _, df in vocab], pa.int64()))
+            assert eng.expand_typo(q, 50, one_typo=o, two_typos=tw) == want
 
 
 def test_proxy_typo_tolerance_option(typo_engine):
@@ -270,7 +286,7 @@ def test_proxy_typo_tolerance_option(typo_engine):
         SearchProxy,
     )
 
-    vocab = typo_engine._typo_vocabulary()[0]
+    vocab = _terms(typo_engine)
     vset = set(vocab)
     cands = [t for t in vocab
              if t.isascii() and t.isalpha()
@@ -300,9 +316,9 @@ def test_proxy_typo_recovers_misspelled_query(typo_engine):
                                                              SearchProxy)
 
     p = SearchProxy(typo_engine)
-    terms = [t for t in typo_engine._typo_vocabulary()[0]
+    terms = [t for t in _terms(typo_engine)
              if ONE_TYPO_MIN_LEN <= len(t) < TWO_TYPO_MIN_LEN]
-    vocab = set(typo_engine._typo_vocabulary()[0])
+    vocab = set(_terms(typo_engine))
     checked = 0
     for t in terms[:30]:
         typo = t[:2] + "ß" + t[3:]
@@ -324,9 +340,8 @@ def test_proxy_typo_recovers_misspelled_query(typo_engine):
 
 def test_expand_typo_custom_thresholds(typo_engine):
     """Lowering minWordSizeForTypos.oneTypo lets a short word expand; the
-    default budget gives it none. Custom thresholds take the verified
-    vocabulary path, so results stay DL-exact."""
-    vocab = typo_engine._typo_vocabulary()[0]
+    default budget gives it none."""
+    vocab = _terms(typo_engine)
     shorts = [t for t in vocab if len(t) == 4 and t.isascii()]
     checked = 0
     vset = set(vocab)
@@ -345,7 +360,7 @@ def test_expand_typo_custom_thresholds(typo_engine):
 
 def test_expand_typo_raised_threshold_disables(typo_engine):
     """Raising oneTypo above a word's length kills its expansions."""
-    vocab = typo_engine._typo_vocabulary()[0]
+    vocab = _terms(typo_engine)
     mids = [t for t in vocab
             if ONE_TYPO_MIN_LEN <= len(t) < TWO_TYPO_MIN_LEN]
     vset = set(vocab)
@@ -364,7 +379,7 @@ def test_proxy_typo_settings_disable_on_words(typo_engine):
     from meilisearch_thai_ray.pipelines.search_proxy import (SearchOptions,
                                                              SearchProxy)
 
-    vocab = typo_engine._typo_vocabulary()[0]
+    vocab = _terms(typo_engine)
     vset = set(vocab)
     cands = [t for t in vocab
              if t.isascii() and t.isalpha()
