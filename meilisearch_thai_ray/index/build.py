@@ -11,6 +11,10 @@ Ray-Data-first topology (SURVEY.md §3.1 'Ray shape'):
                     -> map_batches(PostingsFlat)                 [partial agg + salt]
                     -> groupby("part").map_groups(encode)        [the shuffle]
                     -> atomic per-part parquet + manifest lineage row
+                  encode = encode_partition: sort the part's postings by
+                  (term, doc_id) in polars, then codec.encode_segments
+                  writes every term segment in one vectorized pass; the
+                  spill exchange and index merge call the same function.
 
 Each phase is skipped on resume when its `.done` marker exists; part files are
 written tmp->rename so resumes never trust torn output (state/manifest.py).
@@ -54,85 +58,68 @@ SEGMENT_SCHEMA = pa.schema(
 )
 
 
-def _encode_part(group: pa.Table, *, out_dir: str, avgdl: float, k1: float,
-                 b: float, block: int, num_salts: int) -> pa.Table:
-    """Encode every term segment of one salted partition and write it atomically.
-
-    Returns one summary row (the dataset result is build metrics, tiny)."""
-    t0 = time.time()
-    part = int(group["part"][0].as_py())
-    shard, salt = divmod(part, num_salts)
-    shard_dir = os.path.join(out_dir, "shards", f"shard={shard:05d}")
-    os.makedirs(shard_dir, exist_ok=True)
-    path = os.path.join(shard_dir, f"salt-{salt:04d}.parquet")
-
-    summary = {
-        "part": [part], "shard": [shard], "salt": [salt],
-        "n_terms": [0], "n_postings": [0], "bytes": [0], "wall_s": [0.0],
-        "skipped": [False],
-    }
-    if os.path.exists(path):  # idempotent resume: atomic file => complete
-        summary["skipped"] = [True]
-        return pa.table(summary)
-
-    n_terms, n_postings, total_bytes = _encode_group_to_file(
-        group, path, shard=shard, salt=salt, avgdl=avgdl, k1=k1, b=b, block=block
-    )
-    summary.update(
-        n_terms=[n_terms], n_postings=[n_postings], bytes=[total_bytes],
-        wall_s=[time.time() - t0],
-    )
-    return pa.table(summary)
+# below this many input bytes the stats and dictionary phases scan in this
+# process; above it they run as Ray jobs
+RAY_AGG_BYTES = 4 << 30
 
 
-def _encode_group_to_file(group: pa.Table, path: str, *, shard: int, salt: int,
-                          avgdl: float, k1: float, b: float,
-                          block: int) -> tuple[int, int, int]:
-    """Sort one partition's postings by (term, doc_id), encode every term
-    segment, write the shard file atomically. -> (n_terms, n_postings, bytes)."""
-    from .codec import encode_positions, encode_segment
+def encode_partition(df, *, shard: int, salt: int, avgdl: float, k1: float,
+                     b: float, block: int) -> pa.Table:
+    """One partition's postings as a polars frame sorted by (term, doc_id)
+    -> its SEGMENT_SCHEMA table, every segment encoded in one pass."""
+    from .codec import encode_segments
 
+    starts = np.flatnonzero(df["term"].is_first_distinct().to_numpy())
+    pos_flat = (df["positions"].explode().to_numpy()
+                if "positions" in df.columns else None)
+    cols = encode_segments(df["doc_id"].to_numpy(), df["tf"].to_numpy(),
+                           df["dl"].to_numpy(), starts, avgdl, k1, b, block,
+                           pos_flat)
+    m = starts.size
+    return pa.table({
+        "shard": np.full(m, shard, np.int32),
+        "salt": np.full(m, salt, np.int32),
+        "term": df["term"].gather(starts).to_arrow().cast(pa.string()),
+        "df": cols["n_docs"],
+        **cols,
+    }, schema=SEGMENT_SCHEMA)
+
+
+def _write_part(part: int, load, *, out_dir: str, avgdl: float, k1: float,
+                b: float, block: int, num_salts: int) -> dict:
+    """Encode salted partition `part` (its postings from `load()`) into its
+    shard file, written atomically; a finished file is kept, so a resume
+    skips it. -> the partition's shards.jsonl row."""
     import polars as pl
 
-    has_pos = "positions" in group.column_names
-    cols = ["term", "doc_id", "tf", "dl"] + (["positions"] if has_pos else [])
+    t0 = time.time()
+    shard, salt = divmod(part, num_salts)
+    path = os.path.join(out_dir, "shards", f"shard={shard:05d}",
+                        f"salt-{salt:04d}.parquet")
+    row = {"partition": part, "shard": shard, "salt": salt, "n_terms": 0,
+           "n_postings": 0, "bytes": 0, "wall_s": 0.0,
+           "skipped": os.path.exists(path)}
+    if row["skipped"]:  # idempotent resume: atomic file => complete
+        return row
+    group = load()
+    cols = [c for c in ("term", "doc_id", "tf", "dl", "positions")
+            if c in group.column_names]
     df = pl.from_arrow(group.select(cols)).sort(["term", "doc_id"])
-    terms = np.asarray(df["term"].to_list(), dtype=object)
-    doc_ids = df["doc_id"].to_numpy().astype(np.uint64)
-    tfs = df["tf"].to_numpy().astype(np.uint64)
-    dls = df["dl"].to_numpy().astype(np.uint64)
-    pos_lists = df["positions"].to_list() if has_pos else None
-
-    n = len(terms)
-    bounds = np.flatnonzero(terms[1:] != terms[:-1]) + 1 if n > 1 else np.empty(0, np.int64)
-    starts = np.concatenate(([0], bounds)).astype(np.int64)
-    ends = np.concatenate((bounds, [n])).astype(np.int64)
-
-    rows: dict[str, list] = {k.name: [] for k in SEGMENT_SCHEMA}
-    total_bytes = 0
-    for s, e in zip(starts, ends):
-        seg = encode_segment(doc_ids[s:e], tfs[s:e], dls[s:e], avgdl, k1, b, block)
-        pos_bin = (
-            encode_positions(pos_lists[s:e], tfs[s:e]) if has_pos else b""
-        )
-        rows["shard"].append(shard)
-        rows["salt"].append(salt)
-        rows["term"].append(terms[s])
-        rows["df"].append(seg["n_docs"])
-        rows["cf"].append(seg["cf"])
-        rows["n_docs"].append(seg["n_docs"])
-        rows["docs_bin"].append(seg["docs_bin"])
-        rows["tfs_bin"].append(seg["tfs_bin"])
-        rows["dls_bin"].append(seg["dls_bin"])
-        rows["block_last"].append(seg["block_last"])
-        rows["block_max"].append(seg["block_max"])
-        rows["pos_bin"].append(pos_bin)
-        total_bytes += (len(seg["docs_bin"]) + len(seg["tfs_bin"])
-                        + len(seg["dls_bin"]) + len(pos_bin))
-
-    out = pa.table({k: rows[k] for k in rows}, schema=SEGMENT_SCHEMA)
+    out = encode_partition(df, shard=shard, salt=salt, avgdl=avgdl, k1=k1,
+                           b=b, block=block)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     atomic_write_parquet(out, path)
-    return len(starts), n, total_bytes
+    row.update(n_terms=out.num_rows, n_postings=df.height,
+               bytes=sum(pc.sum(pc.binary_length(out[c])).as_py() or 0
+                         for c in ("docs_bin", "tfs_bin", "dls_bin", "pos_bin")),
+               wall_s=time.time() - t0)
+    return row
+
+
+def _encode_group(group: pa.Table, **kw) -> pa.Table:
+    """Sort exchange: one groupby("part") group -> its one-row summary."""
+    return pa.Table.from_pylist(
+        [_write_part(int(group["part"][0].as_py()), lambda: group, **kw)])
 
 
 def _save_stage_stats(ds, out_dir: str, phase: str) -> None:
@@ -218,7 +205,7 @@ def compute_stats(docs_dir: str, out_dir: str, config: EngineConfig) -> dict:
             else None
         )
         total_bytes = sum(os.path.getsize(f) for f in dset.files)
-        if total_bytes < 4 << 30:
+        if total_bytes < RAY_AGG_BYTES:
             # small docs table: one driver-side streaming column scan beats a
             # whole Ray job's fixed latency (row count comes from file metadata)
             n_docs, sum_dl = 0, 0
@@ -299,27 +286,12 @@ def _spill_postings_batch(batch: pa.Table, spill_dir: str) -> pa.Table:
 
 
 @ray.remote
-def _encode_spilled_part(spill_dir: str, part: int, out_dir: str, avgdl: float,
-                         k1: float, b: float, block: int, num_salts: int) -> dict:
+def _encode_spilled_part(spill_dir: str, part: int, **kw) -> dict:
+    """Spill exchange: encode one part from its spilled files."""
     import pyarrow.dataset as pads
 
-    t0 = time.time()
-    shard, salt = divmod(part, num_salts)
-    shard_dir = os.path.join(out_dir, "shards", f"shard={shard:05d}")
-    os.makedirs(shard_dir, exist_ok=True)
-    path = os.path.join(shard_dir, f"salt-{salt:04d}.parquet")
-    row = {"partition": part, "shard": shard, "salt": salt, "n_terms": 0,
-           "n_postings": 0, "bytes": 0, "wall_s": 0.0, "skipped": False}
-    if os.path.exists(path):
-        row["skipped"] = True
-        return row
-    group = pads.dataset(os.path.join(spill_dir, f"part={part:05d}")).to_table()
-    n_terms, n_postings, total_bytes = _encode_group_to_file(
-        group, path, shard=shard, salt=salt, avgdl=avgdl, k1=k1, b=b, block=block
-    )
-    row.update(n_terms=n_terms, n_postings=n_postings, bytes=total_bytes,
-               wall_s=time.time() - t0)
-    return row
+    d = os.path.join(spill_dir, f"part={part:05d}")
+    return _write_part(part, lambda: pads.dataset(d).to_table(), **kw)
 
 
 def shards_layout(out_dir: str) -> dict | None:
@@ -445,6 +417,9 @@ def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, 
         batch_format="pyarrow",
         batch_size=batch_size,
     )
+    encode_kw = dict(out_dir=out_dir, avgdl=meta["avgdl"], k1=config.k1,
+                     b=config.b, block=config.posting_block,
+                     num_salts=num_salts)
     if shuffle == "spill":
         import shutil as _shutil
 
@@ -458,48 +433,19 @@ def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, 
         parts = sorted(
             int(d.split("=")[1]) for d in os.listdir(spill_dir) if d.startswith("part=")
         )
-        rows = ray.get([
-            _encode_spilled_part.remote(
-                spill_dir, p, out_dir, meta["avgdl"], config.k1, config.b,
-                config.posting_block, num_salts,
-            )
-            for p in parts
-        ])
+        rows = ray.get([_encode_spilled_part.remote(spill_dir, p, **encode_kw)
+                        for p in parts])
         _shutil.rmtree(spill_dir, ignore_errors=True)
-        for row in rows:
-            manifest.record_partition("shards", row)
-        manifest.mark_phase_done("shards", {"wall_s": time.time() - t0,
-                                            "shuffle": "spill"})
-        return manifest.partitions("shards")
-
-    encode = functools.partial(
-        _encode_part,
-        out_dir=out_dir,
-        avgdl=meta["avgdl"],
-        k1=config.k1,
-        b=config.b,
-        block=config.posting_block,
-        num_salts=num_salts,
-    )
-    summary_ds = postings.groupby("part").map_groups(encode, batch_format="pyarrow")
-    summaries = summary_ds.take_all()
-    _save_stage_stats(summary_ds, out_dir, "shards")
-    for row in summaries:
-        manifest.record_partition(
-            "shards",
-            {
-                "partition": int(row["part"]),
-                "shard": int(row["shard"]),
-                "salt": int(row["salt"]),
-                "n_terms": int(row["n_terms"]),
-                "n_postings": int(row["n_postings"]),
-                "bytes": int(row["bytes"]),
-                "wall_s": float(row["wall_s"]),
-                "skipped": bool(row["skipped"]),
-            },
-        )
+    else:
+        summary_ds = postings.groupby("part").map_groups(
+            functools.partial(_encode_group, **encode_kw),
+            batch_format="pyarrow")
+        rows = summary_ds.take_all()
+        _save_stage_stats(summary_ds, out_dir, "shards")
+    for row in rows:
+        manifest.record_partition("shards", row)
     manifest.mark_phase_done("shards", {"wall_s": time.time() - t0,
-                                        "shuffle": "sort"})
+                                        "shuffle": shuffle})
     return manifest.partitions("shards")
 
 
@@ -580,7 +526,7 @@ def build_term_dict(out_dir: str) -> str:
             os.path.join(d, "termdict-00000.parquet"),
         )
         h, r = typo_arrays([])
-    elif sum(os.path.getsize(f) for f in files) < 4 << 30:
+    elif sum(os.path.getsize(f) for f in files) < RAY_AGG_BYTES:
         import polars as pl
 
         t = pads.dataset(files).to_table(columns=["term", "df", "cf"])

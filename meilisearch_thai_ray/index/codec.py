@@ -11,36 +11,43 @@ Layout per (term, salt) segment:
                                           encoding needs only avgdl (one global
                                           scalar barrier), not per-term df.
 
-Both encode and decode are numpy-vectorized (no per-posting Python loop): the
-varint inner loop runs over BYTE POSITIONS (<=10 iterations), not values.
+encode_segments writes every segment of one (shard, salt) partition in one
+pass: each stream (doc deltas, tf-1, dl, position deltas) is encoded once
+for the whole partition and cut into per-segment values at byte offsets.
+LEB128 encodes each value on its own, so a segment's slice of the stream is
+exactly that segment's encoding. Block metadata comes from reduceat over
+block starts. The varint loops run over BYTE POSITIONS (<=10 iterations),
+not values; decode is vectorized the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 from ..config import BM25_B, BM25_K1, POSTING_BLOCK
 
 _THRESHOLDS = [np.uint64(1) << np.uint64(7 * k) for k in range(1, 10)]
+_OFFSET_LIMIT = (1 << 31) - 1  # largest offset of a pa.binary() array
 
 
-def varint_encode(values: np.ndarray) -> bytes:
-    """uint64 array -> LEB128 bytes."""
+def _leb128(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 array -> (LEB128 stream as uint8 array, bytes per value)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
     nbytes = np.ones(v.size, dtype=np.int64)
+    top = v.max() if v.size else 0
     for t in _THRESHOLDS:
+        if t > top:
+            break
         nbytes += v >= t
     starts = np.cumsum(nbytes) - nbytes
     out = np.zeros(int(nbytes.sum()), dtype=np.uint8)
-    maxb = int(nbytes.max())
-    for k in range(maxb):
+    for k in range(int(nbytes.max()) if v.size else 0):
         mask = nbytes > k
-        chunk = (v[mask] >> np.uint64(7 * k)).astype(np.uint64) & np.uint64(0x7F)
+        chunk = (v[mask] >> np.uint64(7 * k)) & np.uint64(0x7F)
         cont = (nbytes[mask] > k + 1).astype(np.uint8) << 7
         out[starts[mask] + k] = chunk.astype(np.uint8) | cont
-    return out.tobytes()
+    return out, nbytes
 
 
 def varint_decode(data: bytes, count: int) -> np.ndarray:
@@ -62,6 +69,19 @@ def varint_decode(data: bytes, count: int) -> np.ndarray:
     return out
 
 
+def segment_cumsum(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Running sums of `deltas` restarted at each run of `counts[i]`
+    consecutive values (uint64, wrapping like the encoder's deltas)."""
+    cs = np.cumsum(deltas, dtype=np.uint64)
+    counts = counts.astype(np.int64)
+    starts = np.cumsum(counts) - counts
+    # undo the global cumsum at run boundaries: subtract the running total
+    # accumulated BEFORE each run
+    prior = np.zeros(counts.size, dtype=np.uint64)
+    prior[1:] = cs[starts[1:] - 1]
+    return cs - np.repeat(prior, counts)
+
+
 def tfn_scores(tfs: np.ndarray, dls: np.ndarray, avgdl: float,
                k1: float = BM25_K1, b: float = BM25_B) -> np.ndarray:
     """idf-independent BM25 partial score, float64, same operation order as
@@ -71,69 +91,106 @@ def tfn_scores(tfs: np.ndarray, dls: np.ndarray, avgdl: float,
     return tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
 
 
-def encode_positions(positions: list, tfs: np.ndarray) -> bytes:
-    """Per-posting ascending position lists -> one varint stream.
-
-    Deltas are taken WITHIN each posting's list (first value absolute);
-    posting boundaries need no markers because tf == len(positions) is
-    already stored. Vectorized: one flat array, per-posting-start values
-    restored by subtracting the previous element only off-boundary."""
-    if not positions:
-        return b""
-    flat = np.concatenate([np.asarray(p, dtype=np.uint64) for p in positions])
-    counts = tfs.astype(np.int64)
-    starts = np.cumsum(counts) - counts
-    deltas = flat.copy()
-    deltas[1:] -= flat[:-1]
-    deltas[starts] = flat[starts]  # absolute at each posting start
-    return varint_encode(deltas)
-
-
 def decode_positions(pos_bin: bytes, tfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """-> (flat positions uint64, per-posting start offsets int64).
 
     posting i's positions = flat[offsets[i] : offsets[i] + tfs[i]]."""
     counts = tfs.astype(np.int64)
-    total = int(counts.sum())
-    deltas = varint_decode(pos_bin, total)
-    cs = np.cumsum(deltas, dtype=np.uint64)
-    starts = np.cumsum(counts) - counts
-    # undo the global cumsum at posting boundaries: subtract the running
-    # total accumulated BEFORE each posting
-    prior = np.zeros(counts.size, dtype=np.uint64)
-    prior[1:] = cs[starts[1:] - 1]
-    flat = cs - np.repeat(prior, counts)
-    return flat, starts
+    flat = segment_cumsum(varint_decode(pos_bin, int(counts.sum())), counts)
+    return flat, np.cumsum(counts) - counts
 
 
-def encode_segment(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
-                   avgdl: float, k1: float = BM25_K1, b: float = BM25_B,
-                   block: int = POSTING_BLOCK) -> dict:
-    """Encode one (term, salt) posting segment. doc_ids must be sorted ascending."""
+def _delta_stream(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128 of each value minus its predecessor, absolute at every start."""
+    deltas = values.copy()
+    deltas[1:] -= values[:-1]
+    deltas[starts] = values[starts]
+    return _leb128(deltas)
+
+
+def _binary(data: np.ndarray, nbytes: np.ndarray, bounds: np.ndarray):
+    """One pa.binary() value per run [bounds[i], bounds[i+1]) of stream
+    values; split into chunks where the stream outgrows int32 offsets, as
+    pa.array splits a list of bytes."""
+    cum = np.zeros(nbytes.size + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=cum[1:])
+    offsets = cum[bounds]
+    if offsets[-1] - offsets[0] <= _OFFSET_LIMIT:
+        return pa.Array.from_buffers(
+            pa.binary(), offsets.size - 1,
+            [None, pa.py_buffer((offsets - offsets[0]).astype(np.int32)),
+             pa.py_buffer(data[offsets[0]:offsets[-1]])])
+    chunks, lo = [], 0
+    while lo < offsets.size - 1:
+        hi = int(np.searchsorted(offsets, offsets[lo] + _OFFSET_LIMIT,
+                                 side="right")) - 1
+        if hi == lo:
+            raise ValueError(
+                f"one encoded segment holds {offsets[lo + 1] - offsets[lo]} "
+                f"bytes, more than a binary column's int32 offsets address")
+        chunks.append(_binary(data, nbytes, bounds[lo:hi + 1]))
+        lo = hi
+    return pa.chunked_array(chunks, pa.binary())
+
+
+def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
+                    starts: np.ndarray, avgdl: float, k1: float = BM25_K1,
+                    b: float = BM25_B, block: int = POSTING_BLOCK,
+                    pos_flat: np.ndarray | None = None) -> dict:
+    """Encode every (term, salt) segment of one partition in one pass.
+
+    The rows are the partition's postings sorted by (term, doc_id); segment
+    i is rows starts[i] up to starts[i + 1] (the last runs to the end), its
+    doc_ids strictly ascending. pos_flat, when given, holds each row's
+    ascending positions back to back, tfs[row] of them. -> one value per
+    segment for each codec column: n_docs, cf (int64 arrays), docs_bin,
+    tfs_bin, dls_bin, pos_bin (pa.binary; pos_bin empty without pos_flat),
+    block_last, block_max (pa lists)."""
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
     tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
     dls = np.ascontiguousarray(dls, dtype=np.uint64)
+    starts = np.asarray(starts, dtype=np.int64)
     n = doc_ids.size
-    deltas = np.empty(n, dtype=np.uint64)
-    if n:
-        deltas[0] = doc_ids[0]
-        np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:])
+    bounds = np.append(starts, n)
+    n_docs = np.diff(bounds)
+    if starts.size:
+        assert starts[0] == 0 and (n_docs > 0).all(), "segments must tile the rows"
+        cf = np.add.reduceat(tfs, starts).astype(np.int64)
+    else:
+        cf = np.zeros(0, dtype=np.int64)
+    # blocks: each segment start plus k * block
+    nblocks = (n_docs + block - 1) // block
+    first = np.cumsum(nblocks) - nblocks
+    k = np.arange(int(nblocks.sum()), dtype=np.int64) - np.repeat(first, nblocks)
+    block_starts = np.repeat(starts, nblocks) + k * block
+    block_ends = np.minimum(block_starts + block, np.repeat(bounds[1:], nblocks))
     tfn = tfn_scores(tfs, dls, avgdl, k1, b)
-    nblocks = (n + block - 1) // block
-    block_last = np.empty(nblocks, dtype=np.int64)
-    block_max = np.empty(nblocks, dtype=np.float64)
-    for i in range(nblocks):
-        lo, hi = i * block, min((i + 1) * block, n)
-        block_last[i] = doc_ids[hi - 1]
-        block_max[i] = tfn[lo:hi].max()
+    block_max = (np.maximum.reduceat(tfn, block_starts) if block_starts.size
+                 else np.zeros(0, dtype=np.float64))
+    block_last = doc_ids[block_ends - 1].astype(np.int64)
+    list_offsets = pa.array(np.append(first, nblocks.sum()).astype(np.int32))
+    if pos_flat is None:
+        pos_bin = pa.array([b""] * starts.size, pa.binary())
+    else:
+        counts = tfs.astype(np.int64)
+        if pos_flat.size != counts.sum():
+            raise ValueError(f"{pos_flat.size} positions for a tf sum of "
+                             f"{counts.sum()}")
+        pstarts = np.cumsum(counts) - counts
+        pos_bin = _binary(*_delta_stream(
+            np.ascontiguousarray(pos_flat, dtype=np.uint64), pstarts),
+            np.append(pstarts, pos_flat.size)[bounds])
     return {
-        "n_docs": n,
-        "cf": int(tfs.sum()),
-        "docs_bin": varint_encode(deltas),
-        "tfs_bin": varint_encode(tfs - np.uint64(1)),
-        "dls_bin": varint_encode(dls),
-        "block_last": block_last,
-        "block_max": block_max,
+        "n_docs": n_docs,
+        "cf": cf,
+        "docs_bin": _binary(*_delta_stream(doc_ids, starts), bounds),
+        "tfs_bin": _binary(*_leb128(tfs - np.uint64(1)), bounds),
+        "dls_bin": _binary(*_leb128(dls), bounds),
+        "block_last": pa.ListArray.from_arrays(list_offsets,
+                                               pa.array(block_last)),
+        "block_max": pa.ListArray.from_arrays(list_offsets,
+                                              pa.array(block_max)),
+        "pos_bin": pos_bin,
     }
 
 

@@ -7,7 +7,7 @@ source corpora WITHOUT re-tokenizing and WITHOUT the posting shuffle: the
 sources were built with the same (num_shards, num_salts, dictionary, codec)
 layout, so partition (shard, salt) of the merged index depends ONLY on
 partition (shard, salt) of each source — the merge is one independent Ray
-task per partition (decode -> interleave by doc_id -> re-encode), zero
+task per partition (decode -> sort by (term, doc_id) -> re-encode), zero
 all-to-all exchange. Only the tiny stats barrier (N, avgdl over the merged
 docs) and the term-dictionary rebuild touch anything global.
 
@@ -34,12 +34,12 @@ import ray
 
 from ..config import EngineConfig
 from .build import (
-    SEGMENT_SCHEMA,
     _guard_shards_layout,
     build_term_dict,
     compute_stats,
+    encode_partition,
 )
-from .codec import decode_positions, decode_segment, encode_positions, encode_segment
+from .codec import decode_positions, segment_cumsum, varint_decode
 from .maintenance import finalize_carried_meta
 from ..state.manifest import BuildManifest, atomic_write_parquet
 
@@ -76,69 +76,48 @@ def _validate_sources(index_dirs: list[str]) -> list[dict]:
     return metas
 
 
+def _decode_rows(t: pa.Table, store_pos: bool) -> pa.Table:
+    """One source partition's segments -> its flat (term, doc_id, tf, dl
+    [, positions]) posting rows. The segments' streams concatenate into
+    one varint stream each; doc ids restart at every segment."""
+    n_docs = t["n_docs"].to_numpy()
+    total = int(n_docs.sum())
+
+    def stream(col: str) -> np.ndarray:
+        return varint_decode(b"".join(t[col].to_pylist()), total)
+
+    tfs = stream("tfs_bin") + np.uint64(1)
+    cols = {
+        "term": t["term"].take(np.repeat(np.arange(t.num_rows), n_docs)),
+        "doc_id": segment_cumsum(stream("docs_bin"), n_docs).astype(np.int64),
+        "tf": tfs.astype(np.int64),
+        "dl": stream("dls_bin").astype(np.int64),
+    }
+    if store_pos:
+        flat, starts = decode_positions(b"".join(t["pos_bin"].to_pylist()), tfs)
+        cols["positions"] = pa.LargeListArray.from_arrays(
+            np.append(starts, flat.size), flat)
+    return pa.table(cols)
+
+
 def _merge_rows(tables: list[pa.Table], *, shard: int, salt: int,
                 avgdl: float, k1: float, b: float, block: int,
                 store_pos: bool) -> pa.Table:
-    """Merge the same (shard, salt) partition of every source: per term,
-    decode each source segment, interleave by doc_id, re-encode."""
-    # term -> list of decoded (doc_ids, tfs, dls, pos_lists)
-    by_term: dict[str, list] = {}
-    for t in tables:
-        terms = t["term"].to_pylist()
-        n_docs = t["n_docs"].to_numpy(zero_copy_only=False)
-        docs_b = t["docs_bin"].to_pylist()
-        tfs_b = t["tfs_bin"].to_pylist()
-        dls_b = t["dls_bin"].to_pylist()
-        pos_b = t["pos_bin"].to_pylist() if store_pos else None
-        for i, term in enumerate(terms):
-            doc_ids, tfs, dls = decode_segment(
-                docs_b[i], tfs_b[i], dls_b[i], int(n_docs[i]))
-            pos = None
-            if store_pos:
-                flat, starts = decode_positions(pos_b[i], tfs)
-                pos = (flat, starts)
-            by_term.setdefault(term, []).append((doc_ids, tfs, dls, pos))
+    """Merge the same (shard, salt) partition of every source: decode every
+    segment to posting rows, sort them by (term, doc_id), re-encode."""
+    import polars as pl
 
-    rows: dict[str, list] = {f.name: [] for f in SEGMENT_SCHEMA}
-    for term in sorted(by_term):
-        segs = by_term[term]
-        doc_ids = np.concatenate([s[0] for s in segs])
-        tfs = np.concatenate([s[1] for s in segs])
-        dls = np.concatenate([s[2] for s in segs])
-        order = np.argsort(doc_ids, kind="stable")
-        doc_ids, tfs, dls = doc_ids[order], tfs[order], dls[order]
-        if doc_ids.size > 1 and (doc_ids[1:] == doc_ids[:-1]).any():
-            dup = int(doc_ids[np.flatnonzero(
-                doc_ids[1:] == doc_ids[:-1])[0]])
-            raise ValueError(
-                f"doc_id {dup} appears in more than one source index "
-                f"(term {term!r}, shard {shard}, salt {salt}) — merge "
-                f"requires disjoint doc_id spaces")
-        seg = encode_segment(doc_ids, tfs, dls, avgdl, k1, b, block)
-        pos_bin = b""
-        if store_pos:
-            lists: list[np.ndarray] = []
-            for s_doc, s_tf, _dl, (flat, starts) in (
-                    (s[0], s[1], s[2], s[3]) for s in segs):
-                counts = s_tf.astype(np.int64)
-                lists.extend(
-                    flat[starts[j]:starts[j] + counts[j]]
-                    for j in range(len(counts)))
-            lists = [lists[j] for j in order]
-            pos_bin = encode_positions(lists, tfs)
-        rows["shard"].append(shard)
-        rows["salt"].append(salt)
-        rows["term"].append(term)
-        rows["df"].append(seg["n_docs"])
-        rows["cf"].append(seg["cf"])
-        rows["n_docs"].append(seg["n_docs"])
-        rows["docs_bin"].append(seg["docs_bin"])
-        rows["tfs_bin"].append(seg["tfs_bin"])
-        rows["dls_bin"].append(seg["dls_bin"])
-        rows["block_last"].append(seg["block_last"])
-        rows["block_max"].append(seg["block_max"])
-        rows["pos_bin"].append(pos_bin)
-    return pa.table({k: rows[k] for k in rows}, schema=SEGMENT_SCHEMA)
+    df = pl.from_arrow(pa.concat_tables(
+        [_decode_rows(t, store_pos) for t in tables])).sort(["term", "doc_id"])
+    dup = df.filter((pl.col("term") == pl.col("term").shift())
+                    & (pl.col("doc_id") == pl.col("doc_id").shift()))
+    if dup.height:
+        raise ValueError(
+            f"doc_id {dup['doc_id'][0]} appears in more than one source index "
+            f"(term {dup['term'][0]!r}, shard {shard}, salt {salt}) — merge "
+            f"requires disjoint doc_id spaces")
+    return encode_partition(df, shard=shard, salt=salt, avgdl=avgdl, k1=k1,
+                            b=b, block=block)
 
 
 @ray.remote

@@ -9,15 +9,19 @@ doc_id % num_salts: the salt splits a Zipf-head term's postings across
 doc-disjoint (doc_id mod), so query-time union is concatenation, and total df
 is the sum of segment dfs.
 
-Stateful: the term -> shard hash cache persists across batches (actor pool).
+Columnar end to end: each distinct term of a batch is hashed once and its
+shard mapped onto the rows by polars; term and positions leave as Arrow
+columns, never as Python lists. Stateful: the term -> shard hash cache
+persists across batches in a worker process.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 
-from ..functions.hashing import fnv1a64
+from ..functions.hashing import fnv1a64_batch
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -59,23 +63,20 @@ class PostingsFlat:
         self.positions = positions
         self._shard_cache: dict[str, int] = {}
 
-    def _shards_for(self, terms: list[str]) -> np.ndarray:
+    def _shards_for(self, terms: pl.Series) -> pl.Series:
+        """Each row's shard: every distinct term hashed once (the cache
+        spans batches), mapped back onto the rows by polars."""
         cache = self._shard_cache
-        ns = self.num_shards
-        out = np.empty(len(terms), dtype=np.int64)
-        for i, t in enumerate(terms):
-            s = cache.get(t)
-            if s is None:
-                s = fnv1a64(t) % ns
-                cache[t] = s
-            out[i] = s
+        uniq = terms.unique().to_list()
+        miss = [t for t in uniq if t not in cache]
+        cache.update(zip(miss, (fnv1a64_batch(miss)
+                                % np.uint64(self.num_shards)).tolist()))
+        shards = [cache[t] for t in uniq]
         if len(cache) > 2_000_000:  # bound actor memory on huge vocabularies
             cache.clear()
-        return out
+        return terms.replace_strict(uniq, shards, return_dtype=pl.Int64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import polars as pl
-
         if self.positions:
             df = pl.from_arrow(
                 batch.select(["doc_id", "terms", "token_count", "term_positions"])
@@ -103,21 +104,6 @@ class PostingsFlat:
         schema = POSTINGS_POS_SCHEMA if self.positions else POSTINGS_SCHEMA
         if agg.height == 0:
             return schema.empty_table()
-        terms = agg["term"].to_list()
-        doc_ids = agg["doc_id"].to_numpy()
-        shards = self._shards_for(terms)
-        salts = doc_ids % self.num_salts if self.num_salts > 1 else np.zeros(
-            len(doc_ids), dtype=np.int64
-        )
-        part = shards * self.num_salts + salts
-        cols = {
-            "term": pa.array(terms, pa.string()),
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "tf": pa.array(agg["tf"].to_numpy().astype(np.int32), pa.int32()),
-            "dl": pa.array(agg["dl"].to_numpy().astype(np.int32), pa.int32()),
-            "part": pa.array(part.astype(np.int32), pa.int32()),
-        }
-        if self.positions:
-            cols["positions"] = pa.array(agg["positions"].to_list(),
-                                         pa.list_(pa.int32()))
-        return pa.table(cols, schema=schema)
+        ns = self.num_salts
+        part = self._shards_for(agg["term"]) * ns + agg["doc_id"] % ns
+        return agg.with_columns(part=part).select(schema.names).to_arrow().cast(schema)

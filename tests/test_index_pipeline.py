@@ -505,6 +505,37 @@ def test_term_dict_resume(built, tmp_path):
     build_term_dict(clone)
     assert _hash_tree(os.path.join(clone, "termdict")) == before
 
+
+def test_stats_and_dict_ray_branch_match_local_scan(built, tmp_path,
+                                                    monkeypatch):
+    """With RAY_AGG_BYTES at 0 the stats and dict phases take their Ray
+    branch; it yields the in-process scan's (term, df, cf) rows, typo arrays
+    and corpus stats."""
+    import numpy as np
+
+    import meilisearch_thai_ray.index.build as b
+
+    _pages, out, _meta = built
+    clone = str(tmp_path / "clone")
+    shutil.copytree(out, clone)
+    for phase in ("stats", "dict"):
+        os.remove(os.path.join(clone, "_manifest", f"{phase}.done"))
+    monkeypatch.setattr(b, "RAY_AGG_BYTES", 0)
+    meta = b.compute_stats(os.path.join(clone, "docs"), clone, CFG)
+    b.build_term_dict(clone)
+
+    def rows(index_dir):
+        t = pads.dataset(os.path.join(index_dir, "termdict")).to_table()
+        return list(zip(*(t[c].to_pylist() for c in ("term", "df", "cf"))))
+
+    assert rows(clone) == rows(out)
+    for f in ("hash.npy", "row.npy"):
+        assert np.array_equal(np.load(os.path.join(clone, "typodict", f)),
+                              np.load(os.path.join(out, "typodict", f))), f
+    with open(os.path.join(out, "meta.json")) as f:
+        ref = json.load(f)
+    assert (meta["n_docs"], meta["sum_dl"]) == (ref["n_docs"], ref["sum_dl"])
+
 POS_CFG = EngineConfig(num_shards=4, store_positions=True)
 
 

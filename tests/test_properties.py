@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from meilisearch_thai_ray.config import EngineConfig
 from meilisearch_thai_ray.index.codec import (
     decode_segment,
-    encode_segment,
+    encode_segments,
     varint_decode,
-    varint_encode,
 )
 from meilisearch_thai_ray.kernel import DocumentTokenizer, html_to_text
 from meilisearch_thai_ray.kernel.charclass import classify_token
@@ -70,8 +69,13 @@ def test_extractor_idempotent_on_extracted(text):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=300))
 def test_varint_roundtrip_property(values):
+    # any uint64 values roundtrip through one segment's dl stream
     arr = np.array(values, dtype=np.uint64)
-    assert np.array_equal(varint_decode(varint_encode(arr), len(values)), arr)
+    n = len(values)
+    cols = encode_segments(np.arange(n, dtype=np.uint64), np.ones(n, np.uint64),
+                           arr, [0] if n else [], 1.0)
+    data = cols["dls_bin"][0].as_py() if n else b""
+    assert np.array_equal(varint_decode(data, n), arr)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,8 +96,9 @@ def test_segment_roundtrip_property(postings):
     ids = np.array([p[0] for p in postings], dtype=np.uint64)
     tfs = np.array([p[1] for p in postings], dtype=np.uint64)
     dls = np.array([p[2] for p in postings], dtype=np.uint64)
-    seg = encode_segment(ids, tfs, dls, avgdl=77.7)
-    out = decode_segment(seg["docs_bin"], seg["tfs_bin"], seg["dls_bin"], len(ids))
+    seg = encode_segments(ids, tfs, dls, [0], avgdl=77.7)
+    out = decode_segment(seg["docs_bin"][0].as_py(), seg["tfs_bin"][0].as_py(),
+                         seg["dls_bin"][0].as_py(), len(ids))
     assert np.array_equal(out[0], ids)
     assert np.array_equal(out[1], tfs)
     assert np.array_equal(out[2], dls)
@@ -208,7 +213,6 @@ def _positions_case(draw):
     term's docs split into doc-disjoint salt segments, some segments
     pre-decoded as shadow filtering leaves them. Positions reach past
     2^21. The query ids mix held and absent docs in any order."""
-    from meilisearch_thai_ray.index.codec import encode_positions
     from meilisearch_thai_ray.index.search import _Segment
 
     universe = [3, 7, 8, 2 ** 21] + [_HIGH + i for i in range(0, 64, 8)]
@@ -231,9 +235,12 @@ def _positions_case(draw):
             ids = np.array(sd, np.uint64)
             tfs = np.array([len(truth[t, d]) for d in sd], np.uint64)
             plists = [truth[t, d] for d in sd]
+            pos_bin = encode_segments(
+                ids, tfs, tfs, [0], 1.0,
+                pos_flat=np.concatenate(plists).astype(np.uint64),
+            )["pos_bin"][0].as_py()
             seg = _Segment(ids, np.ones(ids.size), ids.astype(np.int64),
-                           np.ones(ids.size), tfs=tfs,
-                           pos_bin=encode_positions(plists, tfs))
+                           np.ones(ids.size), tfs=tfs, pos_bin=pos_bin)
             if draw(st.booleans()):  # decoded up front, raw bytes dropped
                 seg.positions()
                 seg.pos_bin = b""
