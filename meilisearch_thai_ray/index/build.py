@@ -13,8 +13,8 @@ Ray-Data-first topology (SURVEY.md §3.1 'Ray shape'):
                     -> atomic per-part parquet + manifest lineage row
                   encode = encode_partition: sort the part's postings by
                   (term, doc_id) in polars, then codec.encode_segments
-                  writes every term segment in one vectorized pass; the
-                  spill exchange and index merge call the same function.
+                  writes every term segment in one vectorized pass;
+                  index merge (merge.py) calls the same function.
 
 Each phase is skipped on resume when its `.done` marker exists; part files are
 written tmp->rename so resumes never trust torn output (state/manifest.py).
@@ -85,14 +85,15 @@ def encode_partition(df, *, shard: int, salt: int, avgdl: float, k1: float,
     }, schema=SEGMENT_SCHEMA)
 
 
-def _write_part(part: int, load, *, out_dir: str, avgdl: float, k1: float,
-                b: float, block: int, num_salts: int) -> dict:
-    """Encode salted partition `part` (its postings from `load()`) into its
+def _encode_group(group: pa.Table, *, out_dir: str, avgdl: float, k1: float,
+                  b: float, block: int, num_salts: int) -> pa.Table:
+    """One groupby("part") group: encode salted partition `part` into its
     shard file, written atomically; a finished file is kept, so a resume
-    skips it. -> the partition's shards.jsonl row."""
+    skips it. -> the partition's one-row shards.jsonl summary."""
     import polars as pl
 
     t0 = time.time()
+    part = int(group["part"][0].as_py())
     shard, salt = divmod(part, num_salts)
     path = os.path.join(out_dir, "shards", f"shard={shard:05d}",
                         f"salt-{salt:04d}.parquet")
@@ -100,8 +101,7 @@ def _write_part(part: int, load, *, out_dir: str, avgdl: float, k1: float,
            "n_postings": 0, "bytes": 0, "wall_s": 0.0,
            "skipped": os.path.exists(path)}
     if row["skipped"]:  # idempotent resume: atomic file => complete
-        return row
-    group = load()
+        return pa.Table.from_pylist([row])
     cols = [c for c in ("term", "doc_id", "tf", "dl", "positions")
             if c in group.column_names]
     df = pl.from_arrow(group.select(cols)).sort(["term", "doc_id"])
@@ -113,13 +113,15 @@ def _write_part(part: int, load, *, out_dir: str, avgdl: float, k1: float,
                bytes=sum(pc.sum(pc.binary_length(out[c])).as_py() or 0
                          for c in ("docs_bin", "tfs_bin", "dls_bin", "pos_bin")),
                wall_s=time.time() - t0)
-    return row
+    return pa.Table.from_pylist([row])
 
 
-def _encode_group(group: pa.Table, **kw) -> pa.Table:
-    """Sort exchange: one groupby("part") group -> its one-row summary."""
-    return pa.Table.from_pylist(
-        [_write_part(int(group["part"][0].as_py()), lambda: group, **kw)])
+def _write_json(path: str, obj: dict, indent: int | None = None) -> None:
+    """Write `obj` as JSON to `path` atomically (tmp + rename)."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(obj, f, indent=indent)
+    os.replace(tmp, path)
 
 
 def _save_stage_stats(ds, out_dir: str, phase: str) -> None:
@@ -233,8 +235,7 @@ def compute_stats(docs_dir: str, out_dir: str, config: EngineConfig) -> dict:
         "b": config.b,
         "posting_block": config.posting_block,
         "num_shards": config.num_shards,
-        "num_salts": getattr(config, "num_salts", 1),
-        "store_positions": getattr(config, "store_positions", False),
+        "store_positions": config.store_positions,
         "dictionary_hash": config.dictionary_hash(),
         "extractor_version": EXTRACTOR_VERSION,
         # Meilisearch tokenizer settings persist with the index (settings
@@ -243,55 +244,9 @@ def compute_stats(docs_dir: str, out_dir: str, config: EngineConfig) -> dict:
         "separator_tokens": list(config.separator_tokens),
         "non_separator_tokens": list(config.non_separator_tokens),
     }
-    tmp = meta_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f, indent=1)
-    os.replace(tmp, meta_path)
+    _write_json(meta_path, meta, indent=1)
     manifest.mark_phase_done("stats", {"wall_s": time.time() - t0})
     return meta
-
-
-def _spill_postings_batch(batch: pa.Table, spill_dir: str) -> pa.Table:
-    """Map-side partitioned spill: write this batch's rows into per-part files.
-
-    The explicit external-shuffle alternative to Ray's sort-based groupby
-    (north_rule: 'partitioning / shuffle handled explicitly'): map tasks
-    append part-local parquet files; reduce tasks each read one part's files.
-    No global sort — both sides embarrassingly parallel; (term, doc_id) keys
-    are globally unique so the reduce-side sort makes output bytes identical
-    to the sort-shuffle path (asserted in tests).
-
-    Retry-idempotent: file names are a content hash of the batch's doc_ids, so
-    a re-executed map task atomically overwrites its own files instead of
-    appending duplicates."""
-    import hashlib
-
-    import polars as pl
-
-    df = pl.from_arrow(batch)
-    # order-insensitive batch identity: the SORTED doc set (each doc lives in
-    # exactly one batch; intra-batch row order is not stable across retries)
-    digest = hashlib.md5(
-        np.unique(batch["doc_id"].to_numpy(zero_copy_only=False)).tobytes()
-    ).hexdigest()[:16]
-    for key, sub in df.partition_by("part", as_dict=True).items():
-        part = int(key[0] if isinstance(key, tuple) else key)
-        d = os.path.join(spill_dir, f"part={part:05d}")
-        os.makedirs(d, exist_ok=True)
-        atomic_write_parquet(
-            sub.drop("part").to_arrow(),
-            os.path.join(d, f"batch-{digest}.parquet"),
-        )
-    return pa.table({"rows": [len(df)]})
-
-
-@ray.remote
-def _encode_spilled_part(spill_dir: str, part: int, **kw) -> dict:
-    """Spill exchange: encode one part from its spilled files."""
-    import pyarrow.dataset as pads
-
-    d = os.path.join(spill_dir, f"part={part:05d}")
-    return _write_part(part, lambda: pads.dataset(d).to_table(), **kw)
 
 
 def shards_layout(out_dir: str) -> dict | None:
@@ -312,7 +267,11 @@ def _guard_shards_layout(out_dir: str, config: EngineConfig,
     files whose (shard, salt) derivation differs — silently duplicating or
     dropping postings. Mismatched partial output is discarded; a COMPLETED
     phase with a different layout raises (the caller must pick a fresh
-    out_dir or match the original layout)."""
+    out_dir or match the original layout).
+
+    Then records num_salts in meta.json (written by compute_stats, which
+    must run first): the one writer of the salt count the query reader and
+    the serving actors read."""
     layout = {
         "num_shards": config.num_shards,
         "num_salts": num_salts,
@@ -320,59 +279,56 @@ def _guard_shards_layout(out_dir: str, config: EngineConfig,
         # everything baked into the salt files' BYTES belongs here — a resume
         # with a flipped store_positions (or different BM25/block constants)
         # must not trust stale parts whose encoded content differs
-        "store_positions": getattr(config, "store_positions", False),
+        "store_positions": config.store_positions,
         "k1": config.k1,
         "b": config.b,
         "posting_block": config.posting_block,
     }
     existing = shards_layout(out_dir)
-    manifest = BuildManifest(out_dir)
-    # keys absent from an older guard version's file are tolerated (legacy
-    # layouts recorded fewer fields); any PRESENT key must match
-    if existing is not None and all(
-        existing.get(k, v) == v for k, v in layout.items()
-    ):
-        if existing != layout:  # legacy file: record the fuller layout
-            existing = None
-        else:
-            return
-    if existing is not None:
-        if manifest.phase_done("shards"):
-            raise ValueError(
-                f"index at {out_dir} was built with layout {existing}; "
-                f"requested {layout} — rebuild into a fresh directory"
-            )
-        import shutil
+    if existing != layout:
+        # keys absent from an older guard version's file are tolerated
+        # (legacy layouts recorded fewer fields: the fuller layout is
+        # recorded); any PRESENT key must match
+        if existing is not None and any(
+            existing.get(k, v) != v for k, v in layout.items()
+        ):
+            if BuildManifest(out_dir).phase_done("shards"):
+                raise ValueError(
+                    f"index at {out_dir} was built with layout {existing}; "
+                    f"requested {layout} — rebuild into a fresh directory"
+                )
+            import shutil
 
-        shutil.rmtree(os.path.join(out_dir, "shards"), ignore_errors=True)
-        jl = os.path.join(out_dir, "_manifest", "shards.jsonl")
-        if os.path.exists(jl):
-            os.remove(jl)
-    p = os.path.join(out_dir, "_manifest", "shards_layout.json")
-    tmp = p + ".tmp"
-    os.makedirs(os.path.dirname(p), exist_ok=True)
-    with open(tmp, "w") as f:
-        json.dump(layout, f)
-    os.replace(tmp, p)
+            shutil.rmtree(os.path.join(out_dir, "shards"), ignore_errors=True)
+            jl = os.path.join(out_dir, "_manifest", "shards.jsonl")
+            if os.path.exists(jl):
+                os.remove(jl)
+        p = os.path.join(out_dir, "_manifest", "shards_layout.json")
+        os.makedirs(os.path.dirname(p), exist_ok=True)
+        _write_json(p, layout)
+    meta_path = os.path.join(out_dir, "meta.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    if meta.get("num_salts") != num_salts:
+        meta["num_salts"] = num_salts
+        _write_json(meta_path, meta, indent=1)
 
 
 def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, *,
-                 num_salts: int = 1, batch_size: int = 4096,
-                 shuffle: str = "auto") -> list[dict]:
+                 num_salts: int = 1, batch_size: int = 4096) -> list[dict]:
     """Phase 'shards': the posting shuffle + encode.
 
-    shuffle="sort": Ray-native groupby(part).map_groups — the exchange
-    rides the object store. shuffle="spill": explicit map-side-partitioned
-    external shuffle through the filesystem (_spill_postings_batch) — the
-    shared-FS path for clusters where one node's object store cannot hold
-    the exchange. Outputs are byte-identical either way (asserted in
-    tests), so the "auto" default picks by MEASURED crossover (BASELINE.md
-    r5, 200k docs with the consolidated read below): spill wins at every
-    parallelism level once reads are consolidated — 23.9 s vs sort's
-    26.8 s at 2 CPUs, 6.9 s vs 9.5 s at 8 — because the sort path
-    carries ~2.5x the serial sample/plan cost. Sort remains right for
-    SMALL corpora, where 64 spill part-dirs of tiny files cost more than
-    one in-store groupby — auto switches on docs size (64 MiB disk).
+    The exchange is Ray's sort-based groupby(part).map_groups: the
+    intermediate postings ride the object store, never the filesystem.
+    Its trade-off, measured on a 1-vCPU box at 100k docs (185 MiB docs
+    table, num_shards=32, num_salts=2; scripts/scale_proof_exchange.py):
+    with a 256 MiB object store, about 4x under the decoded exchange, the
+    raylet spills ~1.5 GiB to disk and the shards stay byte-identical to
+    the default store's, at 1.5-2.3x the phase's wall time (34-45 s vs
+    19-24 s). A filesystem spill exchange (removed) took 19.6 s there;
+    at 200k docs on 32 vCPUs it was 2.9 s faster at 2 CPUs and 2.6 s at
+    8 (BASELINE r5), which puts the sort exchange's 2->8 CPU efficiency
+    at an estimated ~0.96 (185.4 s / 48.2 s / 4), not measured here.
 
     The docs read consolidates into ~3 blocks per CPU (override_num_blocks):
     the docs phase writes O(tasks) files, and re-reading each as its own
@@ -394,9 +350,7 @@ def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, 
     n_files = sum(1 for f in os.listdir(docs_dir) if f.endswith(".parquet"))
     disk_b = sum(os.path.getsize(os.path.join(docs_dir, f))
                  for f in os.listdir(docs_dir) if f.endswith(".parquet"))
-    if shuffle == "auto":
-        shuffle = "spill" if disk_b > (64 << 20) else "sort"
-    store_pos = getattr(config, "store_positions", False)
+    store_pos = config.store_positions
     cols = ["doc_id", "terms", "token_count"] + (
         ["term_positions"] if store_pos else []
     )
@@ -417,35 +371,16 @@ def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, 
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    encode_kw = dict(out_dir=out_dir, avgdl=meta["avgdl"], k1=config.k1,
-                     b=config.b, block=config.posting_block,
-                     num_salts=num_salts)
-    if shuffle == "spill":
-        import shutil as _shutil
-
-        spill_dir = os.path.join(out_dir, "_spill")
-        _shutil.rmtree(spill_dir, ignore_errors=True)  # transient, rebuilt on resume
-        os.makedirs(spill_dir, exist_ok=True)
-        postings.map_batches(
-            functools.partial(_spill_postings_batch, spill_dir=spill_dir),
-            batch_format="pyarrow",
-        ).materialize()
-        parts = sorted(
-            int(d.split("=")[1]) for d in os.listdir(spill_dir) if d.startswith("part=")
-        )
-        rows = ray.get([_encode_spilled_part.remote(spill_dir, p, **encode_kw)
-                        for p in parts])
-        _shutil.rmtree(spill_dir, ignore_errors=True)
-    else:
-        summary_ds = postings.groupby("part").map_groups(
-            functools.partial(_encode_group, **encode_kw),
-            batch_format="pyarrow")
-        rows = summary_ds.take_all()
-        _save_stage_stats(summary_ds, out_dir, "shards")
+    summary_ds = postings.groupby("part").map_groups(
+        functools.partial(_encode_group, out_dir=out_dir, avgdl=meta["avgdl"],
+                          k1=config.k1, b=config.b, block=config.posting_block,
+                          num_salts=num_salts),
+        batch_format="pyarrow")
+    rows = summary_ds.take_all()
+    _save_stage_stats(summary_ds, out_dir, "shards")
     for row in rows:
         manifest.record_partition("shards", row)
-    manifest.mark_phase_done("shards", {"wall_s": time.time() - t0,
-                                        "shuffle": shuffle})
+    manifest.mark_phase_done("shards", {"wall_s": time.time() - t0})
     return manifest.partitions("shards")
 
 
@@ -574,26 +509,13 @@ def build_typo_index(out_dir: str) -> str:
 
 
 def build_index(pages_path: str, out_dir: str, config: EngineConfig | None = None, *,
-                num_salts: int = 1, batch_size: int = 256,
-                shuffle: str = "auto") -> dict:
-    """Full build (all phases, resumable). Returns meta dict. `shuffle`
-    picks build_shards' posting exchange."""
+                num_salts: int = 1, batch_size: int = 256) -> dict:
+    """Full build (all phases, resumable). Returns meta dict."""
     config = config or EngineConfig()
     os.makedirs(out_dir, exist_ok=True)
     docs_dir = build_docs(pages_path, out_dir, config, batch_size=batch_size)
     meta = compute_stats(docs_dir, out_dir, config)
-    meta["num_salts"] = num_salts
-    build_shards(docs_dir, out_dir, config, meta, num_salts=num_salts,
-                 shuffle=shuffle)
+    build_shards(docs_dir, out_dir, config, meta, num_salts=num_salts)
     build_term_dict(out_dir)
-    # persist the actual salt count used (query reader needs it)
-    meta_path = os.path.join(out_dir, "meta.json")
-    with open(meta_path) as f:
-        m = json.load(f)
-    if m.get("num_salts") != num_salts:
-        m["num_salts"] = num_salts
-        tmp = meta_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(m, f, indent=1)
-        os.replace(tmp, meta_path)
-    return m
+    with open(os.path.join(out_dir, "meta.json")) as f:
+        return json.load(f)

@@ -105,12 +105,10 @@ def import_dump(dump_dir: str, dest_root: str,
             docs_dst = os.path.join(dest, "docs")
             maintenance.copy_docs_dropping(levels, docs_dst)
             new_meta = compute_stats(docs_dst, dest, cfg)
-            new_meta["num_salts"] = idx_meta.get("num_salts", 1)
             build_shards(docs_dst, dest, cfg, new_meta,
-                         num_salts=new_meta["num_salts"])
+                         num_salts=idx_meta.get("num_salts", 1))
             build_term_dict(dest)
-            maintenance.finalize_carried_meta(
-                dest, idx_meta, num_salts=new_meta["num_salts"])
+            maintenance.finalize_carried_meta(dest, idx_meta)
         else:
             maintenance.reindex(src, dest, cfg, force=True,
                                 num_salts=idx_meta.get("num_salts", 1))

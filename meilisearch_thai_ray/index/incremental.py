@@ -393,7 +393,6 @@ def compact(index_dir: str, out_dir: str, *,
             "docs", {"source": index_dir, "generations": len(gen_dirs)}
         )
     meta = compute_stats(docs_dst, out_dir, cfg)
-    meta["num_salts"] = num_salts
     build_shards(docs_dst, out_dir, cfg, meta, num_salts=num_salts)
     build_term_dict(out_dir)
-    return finalize_carried_meta(out_dir, base_meta, num_salts=num_salts)
+    return finalize_carried_meta(out_dir, base_meta)

@@ -65,12 +65,11 @@ def copy_docs_dropping(levels: list[tuple[str, "np.ndarray | None"]],
                 part += 1
 
 
-def finalize_carried_meta(out_dir: str, src_meta: dict,
-                          num_salts: int | None = None) -> dict:
+def finalize_carried_meta(out_dir: str, src_meta: dict) -> dict:
     """Rewrite out_dir's meta.json carrying the SOURCE index's dictionary /
     extractor hashes (reused `terms` were tokenized with the source
     dictionary — recording the current one would permanently mask
-    needs_reindex) and persisting the salt layout the query reader needs."""
+    needs_reindex)."""
     import json
 
     meta_path = os.path.join(out_dir, "meta.json")
@@ -79,8 +78,6 @@ def finalize_carried_meta(out_dir: str, src_meta: dict,
     for key in ("dictionary_hash", "extractor_version"):
         if key in src_meta:
             new_meta[key] = src_meta[key]
-    if num_salts is not None:
-        new_meta["num_salts"] = num_salts
     tmp = meta_path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(new_meta, f, indent=1)
@@ -116,14 +113,11 @@ def reindex(index_dir: str, out_dir: str, config: EngineConfig | None = None, *,
         copy_docs_dropping([(docs_src, drop)], docs_dst)
         manifest.mark_phase_done("docs", {"source": docs_src})
     meta = compute_stats(docs_dst, out_dir, config)
-    meta["num_salts"] = num_salts
     build_shards(docs_dst, out_dir, config, meta, num_salts=num_salts)
     build_term_dict(out_dir)  # sorted term dictionary (prefix-suggest scale path)
     with open(os.path.join(index_dir, "meta.json")) as f:
         src_meta = json.load(f)
-    new_meta = finalize_carried_meta(out_dir, src_meta, num_salts=num_salts)
-    meta.update(new_meta)
-    return meta
+    return finalize_carried_meta(out_dir, src_meta)
 
 
 # ---------------- tombstone deletes ----------------

@@ -147,7 +147,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *,
     metas = _validate_sources(index_dirs)
     cfg = config or _base_config(metas[0])
     num_salts = max(1, int(metas[0].get("num_salts", 1)))
-    store_pos = bool(getattr(cfg, "store_positions", False))
+    store_pos = cfg.store_positions
 
     os.makedirs(out_dir, exist_ok=True)
     manifest = BuildManifest(out_dir)
@@ -175,7 +175,6 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *,
         raise ValueError(
             f"merged docs count {meta['n_docs']} != sum of sources "
             f"{expect_n} — doc_id spaces overlap or a source is partial")
-    meta["num_salts"] = num_salts
 
     if not manifest.phase_done("shards"):
         _guard_shards_layout(out_dir, cfg, num_salts)
@@ -198,4 +197,4 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *,
         manifest.mark_phase_done("shards", {"merged_terms": n_terms,
                                             "sources": list(index_dirs)})
     build_term_dict(out_dir)
-    return finalize_carried_meta(out_dir, metas[0], num_salts=num_salts)
+    return finalize_carried_meta(out_dir, metas[0])

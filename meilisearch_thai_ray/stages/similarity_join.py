@@ -13,8 +13,7 @@ Shape — the classic blocked nested-loop similarity join:
   1. prep `map_batches` computes each row's compact join key (sorted unique
      shingle-hash array, or the embedding) and a deterministic block id
      (doc_id % n_blocks), then spills blocks to hive-partitioned parquet
-     (this is the exchange — same role as the explicit spill shuffle in
-     index/build.py);
+     (this is the exchange, through the filesystem);
   2. the driver fans out the P*(P+1)/2 block pairs as a tiny from_items
      dataset; each task loads two blocks (per-actor block cache: a block is
      read once per actor, not once per pair) and emits only pairs >= the

@@ -8,6 +8,10 @@ On a real cluster:
     ray job submit --working-dir . -- python scripts/build_job.py \
         --pages s3://bucket/pages --out /shared/index --num-shards 4096 ...
 
+The posting exchange is build_shards' Ray sort shuffle (the postings ride
+the object store); workers write the shard files under --out, so --out must
+be a path every node can write.
+
 This script OWNS its Ray session (guarded init); library code never calls
 ray.init. Prints one JSON line of build metrics on success.
 """
@@ -28,12 +32,6 @@ def main() -> int:
     ap.add_argument("--num-shards", type=int, default=32)
     ap.add_argument("--num-salts", type=int, default=2)
     ap.add_argument("--batch-size", type=int, default=256)
-    ap.add_argument("--shuffle", choices=["auto", "sort", "spill"],
-                    default="auto",
-                    help="posting exchange: auto = measured crossover "
-                         "(spill when the docs table exceeds 64 MiB on "
-                         "disk, sort below); outputs byte-identical "
-                         "either way")
     ap.add_argument("--store-positions", action="store_true",
                     help="store per-occurrence token positions (true phrase "
                          "search; ~+19%% shard bytes, ~-10%% throughput)")
@@ -59,7 +57,7 @@ def main() -> int:
                        store_positions=args.store_positions)
     t0 = time.perf_counter()
     meta = b.build_index(args.pages, args.out, cfg, num_salts=args.num_salts,
-                         batch_size=args.batch_size, shuffle=args.shuffle)
+                         batch_size=args.batch_size)
     wall = time.perf_counter() - t0
     print(json.dumps({
         "out": args.out, "wall_s": round(wall, 2),

@@ -180,22 +180,24 @@ def test_prefix_expansion(built):
     assert base <= pref
 
 
-def test_spill_shuffle_byte_identical(built):
-    """The explicit external (spill) shuffle must produce the exact same shard
-    bytes as the Ray-native sort shuffle."""
+def test_compute_stats_then_build_shards_records_num_salts(built, tmp_path):
+    """compute_stats + build_shards(num_salts=2) into a fresh directory (the
+    simple_text sequence, no build_index) records the salt count in
+    meta.json, where index_stats and the serving actors read it."""
     import meilisearch_thai_ray.index.build as b
+    from meilisearch_thai_ray.index.maintenance import index_stats
 
-    _, out, meta = built
-    out2 = os.path.join(os.path.dirname(out), "index_spill")
-    shutil.rmtree(out2, ignore_errors=True)
-    os.makedirs(out2)
-    m = b.compute_stats(os.path.join(out, "docs"), out2, CFG)
-    b.build_shards(os.path.join(out, "docs"), out2, CFG, m, num_salts=2,
-                   shuffle="spill")
+    _, out, _meta = built
+    out2 = str(tmp_path / "index")
+    docs_dir = os.path.join(out2, "docs")
+    shutil.copytree(os.path.join(out, "docs"), docs_dir)
+    m = b.compute_stats(docs_dir, out2, CFG)
+    b.build_shards(docs_dir, out2, CFG, m, num_salts=2)
+    with open(os.path.join(out2, "meta.json")) as f:
+        assert json.load(f)["num_salts"] == 2
+    assert index_stats(out2)["numSalts"] == 2
     assert _hash_tree(os.path.join(out2, "shards")) == _hash_tree(
-        os.path.join(out, "shards")
-    )
-    assert not os.path.exists(os.path.join(out2, "_spill"))  # transient cleaned
+        os.path.join(out, "shards"))
 
 
 def test_matching_strategy_all(built, oracle, tok):
@@ -648,20 +650,23 @@ def test_phrase_positional_thai_compound(ray_session, tmp_path):
     assert doc_id_from_url(urls[0]) in hits2
 
 
-def test_spill_shuffle_positions_byte_identical(ray_session, tmp_path):
-    """Sort- and spill-shuffle builds are byte-identical WITH positions."""
-    from meilisearch_thai_ray.index.build import build_docs, build_shards, compute_stats
+def test_shard_bytes_independent_of_batch_layout(ray_session, tmp_path):
+    """The posting exchange writes the same shard bytes (positions included)
+    whatever the postings' block layout: build_shards from one docs table
+    at postings batch_size 4096 and 7."""
+    from meilisearch_thai_ray.index.build import build_docs, compute_stats
 
     pages = str(tmp_path / "pages")
     write_pages_parquet(pages, 80, rows_per_file=40)
-    outs = {}
-    for mode in ("sort", "spill"):
-        out = str(tmp_path / f"idx_{mode}")
-        docs_dir = build_docs(pages, out, POS_CFG, batch_size=48)
+    docs_dir = build_docs(pages, str(tmp_path / "docs"), POS_CFG, batch_size=48)
+    hashes = []
+    for batch_size in (4096, 7):
+        out = str(tmp_path / f"idx_{batch_size}")
         meta = compute_stats(docs_dir, out, POS_CFG)
-        build_shards(docs_dir, out, POS_CFG, meta, num_salts=2, shuffle=mode)
-        outs[mode] = _hash_tree(os.path.join(out, "shards"))
-    assert outs["sort"] == outs["spill"]
+        build_shards(docs_dir, out, POS_CFG, meta, num_salts=2,
+                     batch_size=batch_size)
+        hashes.append(_hash_tree(os.path.join(out, "shards")))
+    assert hashes[0] and hashes[0] == hashes[1]
 
 
 def test_proxy_phrase_prefers_positional(pos_index):
