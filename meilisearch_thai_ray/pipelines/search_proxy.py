@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -486,9 +487,75 @@ _NO_TEXT.cluster = _ClusterText("")
 DOC_CACHE_BYTES = 150_000_000
 
 
+class _Batch(NamedTuple):
+    """A request's candidates as columns, one row per (variant, hit) in
+    retrieval order: variant by variant, each in its match_topk order, so a
+    doc appears at most once per variant."""
+
+    doc_id: np.ndarray          # uint64
+    raw: np.ndarray             # float64, the engine's BM25 score
+    score: np.ndarray           # float64, the boosted score
+    variant: np.ndarray         # int64, index into the request's variants
+    pos: np.ndarray             # int64, position in its variant's hits
+    content_length: np.ndarray  # int64, characters of the doc's text
+
+    def take(self, rows: np.ndarray | list[int]) -> "_Batch":
+        return _Batch(*(col[rows] for col in self))
+
+
+_NO_CANDIDATES = _Batch(np.empty(0, np.uint64), np.empty(0), np.empty(0),
+                        *(np.empty(0, np.int64),) * 3)
+
+# exp(-DECAY_FACTOR * position) per hit position, by math.exp: np.exp may
+# differ from it in the last bit
+_DECAY = np.array([math.exp(-DECAY_FACTOR * p)
+                   for p in range(MAX_RESULTS_PER_VARIANT)])
+
+# The ranking algorithms as one key table: (pick keys, order keys), most
+# significant first, over the candidate batch plus its variant's priority
+# (vprio), engine priority (eprio) and weight, and `idx`, the candidate's
+# place in retrieval order.  SearchProxy._rank keeps each doc's first row
+# under the pick keys, then orders the kept rows by the order keys.
+#   weighted_score (result_ranker.py:1025-1072): the full D2 tie-break
+#     (:487-565) picks and orders.
+#   optimized_score (:1074-1133): the higher score, then the variant/engine/
+#     weight comparison (_compare_variants_for_tie_breaking, :1135-1181).
+#     Its "same variant type and lower position" disjunct never decides, as
+#     each variant type is generated once and a variant lists a doc once.
+#   simple_score (:1183-1205): the first highest score per doc.
+#   experimental_score (:1207-1258): simple_score after an x1.2 boost of
+#     Thai-dominant queries.
+_D2_KEYS = ("-score", "vprio", "eprio", "pos", "-weight", "-content_length",
+            "doc_id")
+_BY_SCORE = ("-score", "doc_id")
+_RANK_KEYS = {
+    "weighted_score": (_D2_KEYS, _D2_KEYS),
+    "optimized_score": (("-score", "vprio", "eprio", "-weight", "idx"),
+                        _BY_SCORE),
+    "simple_score": (("-score", "idx"), _BY_SCORE),
+    "experimental_score": (("-score", "idx"), _BY_SCORE),
+}
+
+
+def _id_array(ids: set[int]) -> np.ndarray:
+    return np.fromiter(ids, np.uint64, len(ids))
+
+
+def _attrs_on(options: SearchOptions | None) -> set[str] | None:
+    """attributes_to_search_on as a set; None when it restricts nothing."""
+    if not (options and options.attributes_to_search_on):
+        return None
+    attrs = set(options.attributes_to_search_on)
+    return None if attrs == {"title", "content"} else attrs
+
+
 class SearchProxy:
-    """Query-side pipeline: analysis -> variants -> per-variant BM25 ->
-    boost ranking -> dedup -> top-k."""
+    """Query-side pipeline: analysis -> variants, then named stages over
+    one columnar candidate batch (_Batch): _retrieve (per-variant BM25 and
+    boosts) -> _rank (dedup + the algorithm's _RANK_KEYS row) -> _restrict
+    (one mask) -> _cluster (distinct, D3) -> _order (sort / rules chain /
+    proximity, pagination) -> _hydrate (highlight, match positions,
+    ranking score)."""
 
     def __init__(self, engine, docs_path: str | None = None,
                  config: EngineConfig | None = None,
@@ -585,15 +652,10 @@ class SearchProxy:
         as one extra query term."""
         excl: set[int] = set()
         for w in words:
-            seq = self.engine.phrase_seq(w) if hasattr(
-                self.engine, "phrase_seq"
-            ) else self.tokenizer.index_terms(self.tokenizer.tokenize(w))
-            if not seq:
-                continue
-            if len(seq) == 1 and hasattr(self.engine, "segments"):
-                for s in self.engine.segments(seq[0]):
-                    excl.update(int(d) for d in s.doc_ids)
-            else:
+            seq = self.engine.phrase_seq(w)
+            if len(seq) == 1:
+                excl.update(self.engine.word_docs(seq).tolist())
+            elif seq:
                 excl.update(d for d, _ in self.search_phrase(w, k=1 << 62))
         for p in phrases:
             excl.update(d for d, _ in self.search_phrase(p, k=1 << 62))
@@ -601,21 +663,28 @@ class SearchProxy:
 
     def _placeholder_search(self, excluded: set[int], k: int,
                             offset: int) -> list[dict]:
-        """Meilisearch placeholder search (empty q): documents in internal
-        (doc_id) order. Used when a query is ONLY negative keywords; needs
-        docs_path (the doc-id universe lives in the docs table)."""
+        """Meilisearch placeholder search (empty q): the live documents in
+        internal (doc_id) order. Used when a query is ONLY negative
+        keywords; needs docs_path (the doc-id universe lives in the docs
+        table). Dead-letter rows (status "failed", no postings) and the
+        engine's deleted docs are not live."""
         if not self.docs_path:
             return []
+        import pyarrow.compute as pc
         import pyarrow.dataset as pads
 
-        t = pads.dataset(self.docs_path).to_table(columns=["doc_id"])
-        ids = sorted(int(d) for d in t["doc_id"].to_pylist()
-                     if int(d) not in excluded)
+        ds = pads.dataset(self.docs_path)
+        flt = (pc.field("status") != "failed"
+               if "status" in ds.schema.names else None)
+        ids = ds.to_table(columns=["doc_id"], filter=flt)["doc_id"] \
+            .to_numpy().astype(np.uint64)
+        ids = np.sort(ids[~np.isin(ids, _id_array(
+            excluded | self.engine._dead))])
         return [
             {"doc_id": d, "score": 0.0, "raw_score": 0.0,
              "variant_type": "placeholder", "engine": "none",
              "algorithm": "placeholder", "dedup_count": 0}
-            for d in ids[offset:offset + k]
+            for d in ids[offset:offset + k].tolist()
         ]
 
     def expand_synonyms(self, terms: list[str]) -> list[str]:
@@ -910,20 +979,17 @@ class SearchProxy:
 
     def _search(self, query: str, k: int, session_id: str | None,
                 options: SearchOptions | None, prepared=None) -> list[dict]:
-        """The body of search().  `prepared` is _prepare's tuple for
-        `query` under `options` when the caller has it already; it is used
-        unless negative terms or quoted phrases are stripped from the query
-        first, as the search then prepares what is left."""
+        """The body of search(): parse the query (negative terms, quoted
+        phrases, _prepare), then run the stages in order: _retrieve,
+        _rank, _restrict, _cluster, _order, _hydrate.  `prepared` is
+        _prepare's tuple for `query` under `options` when the caller has it
+        already; it is used unless negative terms or quoted phrases are
+        stripped from the query first, as the search then prepares what is
+        left."""
         raw = query
         if options is not None:
             k = options.limit
         offset = options.offset if options else 0
-        boost_exact = (options.boost_exact_matches
-                       if options and options.boost_exact_matches is not None
-                       else BOOST_EXACT)
-        boost_thai = (options.boost_thai_matches
-                      if options and options.boost_thai_matches is not None
-                      else BOOST_THAI)
         neg_excluded: set[int] | None = None
         if "-" in query:
             positive, neg_w, neg_p = split_negative_terms(query)
@@ -953,7 +1019,75 @@ class SearchProxy:
                                  else True),
             )
         analysis, _tokens, confidence, variants = prepared
+        self._check_options(options)
+        typo_memo: dict[str, list[str]] = {}  # _typo_derivations per word
+        batch = self._retrieve(query, variants, analysis, confidence,
+                               options, typo_memo)
+        algorithm = self.select_algorithm(query, session_id)
+        ranked = self._rank(batch, variants, algorithm, analysis)
+        ordering = self._ordering(options)
+        # with an ordering, pagination applies AFTER it: keep every passing
+        # hit (bounded by the per-variant candidate caps)
+        target = (1 << 62) if ordering else offset + k
+        keep = self._restrict(ranked, query, options, neg_excluded,
+                              phrase_allowed)
+        hits = ranked.take(self._cluster(ranked, keep, target, algorithm,
+                                         options))
+        dedup_count = len(batch.doc_id) - len(ranked.doc_id)
+        out = [{"doc_id": d, "score": score, "raw_score": raw_score,
+                "variant_type": variants[v].variant_type,
+                "engine": variants[v].engine, "algorithm": algorithm,
+                "dedup_count": dedup_count}
+               for d, score, raw_score, v in zip(
+                   hits.doc_id.tolist(), hits.score.tolist(),
+                   hits.raw.tolist(), hits.variant.tolist())]
+        out = self._order(query, out, options, typo_memo, ordering,
+                          offset, k)
+        return self._hydrate(query, out, options)
 
+    def _check_options(self, options: SearchOptions | None) -> None:
+        """Raise for the options this proxy's index or docs table cannot
+        serve."""
+        if options is None:
+            return
+        if options.sort and not self.docs_path and any(
+                not c.startswith("doc_id:") for c in options.sort):
+            raise ValueError("sort over metadata fields requires docs_path")
+        if options.distinct not in (None, "doc_id") and not self.docs_path:
+            raise ValueError("distinct over metadata fields requires "
+                             "docs_path")
+        if _attrs_on(options) is not None:
+            if not self.engine.has_positions:
+                raise ValueError("attributes_to_search_on requires an index "
+                                 "built with store_positions=True")
+            if not self.docs_path:
+                raise ValueError("attributes_to_search_on requires docs_path "
+                                 "(the title_tc field boundary)")
+
+    def _ordering(self, options: SearchOptions | None) -> str | None:
+        """What _order applies after clustering: "sort", the full "rules"
+        chain or "proximity" (the rules need positions; sort outranks
+        them), or None for the ranked order as is."""
+        if options is None:
+            return None
+        if options.sort:
+            return "sort"
+        if options.ranking_rules and self.engine.has_positions:
+            return "rules"
+        if options.proximity_ranking and self.engine.has_positions:
+            return "proximity"
+        return None
+
+    def _retrieve(self, query: str, variants: list[QueryVariant],
+                  analysis: dict, confidence: float,
+                  options: SearchOptions | None,
+                  typo_memo: dict[str, list[str]]) -> _Batch:
+        """Each variant's BM25 top hits under its matching strategy, as
+        one candidate batch with the boosted scores (result_ranker.py:
+        295-399): base (the raw score over the variant's top one) x variant
+        weight x Thai x exact match x compound x confidence x position
+        decay, in that order, capped at 1.0.  A boost that does not apply
+        multiplies by 1.0, which is exact."""
         # per-variant matchingStrategy (search_executor.py:731-753):
         # original -> "all", tokenized/compound_split -> "last",
         # fallback/mixed -> most flexible ("any"); a per-request
@@ -963,10 +1097,20 @@ class SearchProxy:
         if options and options.matching_strategy:
             strategies = {v.variant_type: options.matching_strategy
                           for v in variants}
-
-        candidates: list[tuple] = []  # (hit_dict, score, variant, position)
-        typo_memo: dict[str, list[str]] = {}  # _typo_derivations per word
-        for variant in variants:
+        boost_exact = (options.boost_exact_matches
+                       if options and options.boost_exact_matches is not None
+                       else BOOST_EXACT)
+        thai = 1.0
+        if analysis["thai_content_ratio"] > 0.5:
+            thai = (options.boost_thai_matches
+                    if options and options.boost_thai_matches is not None
+                    else BOOST_THAI)
+        conf = 1.0
+        if confidence > 0.8:
+            conf = 1.0 + (confidence - 0.8) * TOKENIZATION_CONFIDENCE_FACTOR
+        qlower = query.strip().lower()
+        parts = [_NO_CANDIDATES]
+        for vi, variant in enumerate(variants):
             terms = self.expand_synonyms(variant.terms)
             strat = strategies.get(variant.variant_type, "any")
             # typo matching loosens "any" and "frequency" only (requiring a
@@ -992,128 +1136,123 @@ class SearchProxy:
                               strat)
             if not hits:
                 continue
-            # exact-match boost needs doc text (result_ranker.py:346-349):
-            # fetched only for this variant's hits, only when docs_path is set
-            texts = self._doc_texts([d for d, _ in hits])
-            qlower = query.strip().lower()
-            max_score = hits[0][1] or 1.0  # normalize per variant -> base in [0,1]
-            for pos, (doc_id, raw) in enumerate(hits):
-                base = raw / max_score
-                score = base
-                score *= variant.weight * 1.0  # variant boost (weight_factor=1.0)
-                if analysis["thai_content_ratio"] > 0.5:
-                    score *= boost_thai
-                rec = texts.get(doc_id, _NO_TEXT)
-                if qlower and qlower in rec.lower:
-                    score *= boost_exact
-                if variant.variant_type == COMPOUND_SPLIT:
-                    score *= BOOST_COMPOUND
-                if confidence > 0.8:
-                    score *= 1.0 + (confidence - 0.8) * TOKENIZATION_CONFIDENCE_FACTOR
-                if pos > 0:
-                    score *= math.exp(-DECAY_FACTOR * pos)
-                score = min(score, 1.0)
-                candidates.append(
-                    ({"doc_id": doc_id, "raw_score": raw,
-                      "content_length": len(rec.text)},
-                     score, variant, pos)
-                )
+            ids, raw = zip(*hits)
+            # the exact-match boost reads doc text (result_ranker.py:346-349)
+            # when docs_path is set: this variant's hits only
+            texts = self._doc_texts(list(ids))
+            recs = [texts.get(d, _NO_TEXT) for d in ids]
+            exact = (np.array([qlower in r.lower for r in recs])
+                     if qlower else np.zeros(len(recs), bool))
+            compound = (BOOST_COMPOUND
+                        if variant.variant_type == COMPOUND_SPLIT else 1.0)
+            raw = np.array(raw, np.float64)
+            score = (raw / (hits[0][1] or 1.0) * variant.weight * thai
+                     * np.where(exact, boost_exact, 1.0) * compound * conf
+                     * _DECAY[:len(hits)])
+            parts.append(_Batch(
+                np.array(ids, np.uint64), raw, np.minimum(score, 1.0),
+                np.full(len(hits), vi), np.arange(len(hits)),
+                np.array([len(r.text) for r in recs], np.int64)))
+        return _Batch(*map(np.concatenate, zip(*parts)))
 
-        algorithm = self.select_algorithm(query, session_id)
-        ranked, n_unique = self._RANKERS[algorithm](self, candidates, analysis)
-        sort_crit = options.sort if options else None
-        if sort_crit and any(not c.startswith("doc_id:") for c in sort_crit) \
-                and not self.docs_path:
-            raise ValueError("sort over metadata fields requires docs_path")
-        distinct = options.distinct if options else None
-        if distinct and distinct != "doc_id" and not self.docs_path:
-            raise ValueError("distinct over metadata fields requires "
-                             "docs_path")
-        attrs_on = (set(options.attributes_to_search_on)
-                    if options and options.attributes_to_search_on else None)
-        if attrs_on == {"title", "content"}:
-            attrs_on = None  # every searchable attribute = no restriction
-        if attrs_on is not None:
-            if not getattr(self.engine, "has_positions", False):
-                raise ValueError("attributes_to_search_on requires an index "
-                                 "built with store_positions=True")
-            if not self.docs_path:
-                raise ValueError("attributes_to_search_on requires docs_path "
-                                 "(the title_tc field boundary)")
-        dvals: dict = {}
-        seen_dvals: set = set()
-        if distinct and distinct != "doc_id":
-            dvals = self._doc_fields(
-                [c[0]["doc_id"] for c in ranked], [distinct])
-        # with sort, pagination applies AFTER the criteria ordering: keep
-        # every passing hit (bounded by the per-variant candidate caps)
-        rules_rank = bool(options and options.ranking_rules
-                          and not sort_crit
-                          and getattr(self.engine, "has_positions", False))
-        prox_rank = not rules_rank and bool(
-            options and options.proximity_ranking
-            and not sort_crit
-            and getattr(self.engine, "has_positions", False))
-        target = ((1 << 62) if (sort_crit or prox_rank or rules_rank)
-                  else offset + k)
-        allowed = None
+    @staticmethod
+    def _rank(batch: _Batch, variants: list[QueryVariant], algorithm: str,
+              analysis: dict) -> _Batch:
+        """Dedup by doc id and rank under `algorithm`'s _RANK_KEYS row: one
+        lexsort by the pick keys, each doc's first row kept, one lexsort of
+        the kept rows by the order keys.  -> one row per doc, ranked."""
+        if algorithm == "experimental_score":
+            boost = (EXPERIMENTAL_THAI_BOOST
+                     if analysis["thai_content_ratio"] > 0.7 else 1.0)
+            batch = batch._replace(score=batch.score * boost)
+        v = batch.variant
+        keys = {
+            "-score": -batch.score,
+            "vprio": np.array([VARIANT_PRIORITY.get(x.variant_type, 4)
+                               for x in variants], np.int64)[v],
+            "eprio": np.array([ENGINE_PRIORITY.get(x.engine, 4)
+                               for x in variants], np.int64)[v],
+            "-weight": -np.array([x.weight for x in variants], np.float64)[v],
+            "pos": batch.pos,
+            "-content_length": -batch.content_length,
+            "doc_id": batch.doc_id,
+            "idx": np.arange(len(v)),
+        }
+        pick, order = _RANK_KEYS[algorithm]
+        rows = np.lexsort([keys[name] for name in reversed(pick)])
+        kept = rows[np.unique(batch.doc_id[rows], return_index=True)[1]]
+        kept = kept[np.lexsort([keys[name][kept] for name in reversed(order)])]
+        return batch.take(kept)
+
+    def _restrict(self, ranked: _Batch, query: str,
+                  options: SearchOptions | None,
+                  neg_excluded: set[int] | None,
+                  phrase_allowed: set[int] | None) -> np.ndarray:
+        """One mask over the ranked rows: the score threshold, the filter's
+        allowed ids, no negative-term id, every quoted phrase, and
+        attributesToSearchOn."""
+        ids = ranked.doc_id
+        min_score = MIN_SCORE_THRESHOLD
+        if options and options.ranking_score_threshold is not None:
+            min_score = max(min_score, options.ranking_score_threshold)
+        keep = ranked.score >= min_score
         if options and options.filters:
-            allowed = self._filter_allowed(
-                [c[0]["doc_id"] for c in ranked], options.filters
-            )
-        attr_ok: dict[int, bool] = {}
-        if attrs_on is not None and ranked:
+            keep &= np.isin(ids, _id_array(self._filter_allowed(
+                ids.tolist(), options.filters)))
+        if neg_excluded is not None:
+            keep &= ~np.isin(ids, _id_array(neg_excluded))
+        if phrase_allowed is not None:
+            keep &= np.isin(ids, _id_array(phrase_allowed))
+        attrs_on = _attrs_on(options)
+        if attrs_on is not None and ids.size:
             # one pruned title_tc read and one position gather for the
             # whole candidate set: a hit survives iff some direct query
             # term occurs inside an allowed field (title = positions before
             # the doc's title_tc boundary, content = at or after it)
-            cand_ids = [c[0]["doc_id"] for c in ranked]
-            ttc_attr = {
-                d: int(v.get("title_tc") or 0)
-                for d, v in self._doc_fields(cand_ids, ["title_tc"]).items()
-            }
-            boundary = np.array([ttc_attr.get(d, 0) for d in cand_ids],
+            ttc = {d: int(v.get("title_tc") or 0) for d, v in
+                   self._doc_fields(ids.tolist(), ["title_tc"]).items()}
+            boundary = np.array([ttc.get(d, 0) for d in ids.tolist()],
                                 np.int64)
-            ok = np.zeros(len(cand_ids), dtype=bool)
+            ok = np.zeros(ids.size, dtype=bool)
             for counts, flat in self.engine.doc_term_positions(
-                    cand_ids, self.engine.phrase_seq(query)).values():
+                    ids, self.engine.phrase_seq(query)).values():
                 has = counts > 0
                 ends = np.cumsum(counts)[has]
                 if "title" in attrs_on:  # first occurrence in the title
                     ok[has] |= flat[ends - counts[has]] < boundary[has]
                 if "content" in attrs_on:  # last occurrence in the content
                     ok[has] |= flat[ends - 1] >= boundary[has]
-            attr_ok = dict(zip(cand_ids, ok.tolist()))
-        min_score = MIN_SCORE_THRESHOLD
-        if options and options.ranking_score_threshold is not None:
-            min_score = max(min_score, options.ranking_score_threshold)
-        out = []
-        accepted: list[_ClusterText] = []
-        comparisons = 0
+            keep &= ok
+        return keep
+
+    def _cluster(self, ranked: _Batch, keep: np.ndarray, target: int,
+                 algorithm: str, options: SearchOptions | None) -> list[int]:
+        """Walk the rows `keep` passes in rank order and accept up to
+        `target`: one per distinct value, then (weighted_score with docs
+        text) none near-identical to one accepted before.  -> the accepted
+        row indices."""
+        ids = ranked.doc_id.tolist()
+        distinct = options.distinct if options else None
+        if distinct == "doc_id":
+            distinct = None  # the ranked rows hold each doc once
+        dvals = self._doc_fields(ids, [distinct]) if distinct else {}
+        seen_dvals: set = set()
         cluster = (
             algorithm == "weighted_score"
             and self.enable_content_similarity_dedup
             and self.docs_path is not None
         )
-        if cluster and ranked:
+        if cluster and ids:
             # prefetch texts for the head of the ranking in one filtered read
-            self._doc_texts([c[0]["doc_id"] for c in ranked[: 5 * target]])
-        for hit, score, variant, pos in ranked:
-            if len(out) >= target:
+            self._doc_texts(ids[: 5 * target])
+        rows: list[int] = []
+        accepted: list[_ClusterText] = []
+        comparisons = 0
+        for i in np.flatnonzero(keep).tolist():
+            if len(rows) >= target:
                 break
-            if score < min_score:
-                continue
-            if allowed is not None and hit["doc_id"] not in allowed:
-                continue
-            if neg_excluded is not None and hit["doc_id"] in neg_excluded:
-                continue
-            if phrase_allowed is not None \
-                    and hit["doc_id"] not in phrase_allowed:
-                continue
-            if attrs_on is not None and not attr_ok.get(hit["doc_id"]):
-                continue
-            if distinct and distinct != "doc_id":
-                dv = dvals.get(hit["doc_id"], {}).get(distinct)
+            if distinct:
+                dv = dvals.get(ids[i], {}).get(distinct)
                 if dv in seen_dvals:
                     continue
                 seen_dvals.add(dv)
@@ -1124,7 +1263,7 @@ class SearchProxy:
                 # are capped (max_similarity_comparisons) and count every
                 # pair considered, including those _near_duplicate's bounds
                 # rule out without a ratio()
-                cand = self._cluster_text(hit["doc_id"])
+                cand = self._cluster_text(ids[i])
                 dup = False
                 if cand.text:
                     for acc in accepted:
@@ -1137,55 +1276,52 @@ class SearchProxy:
                 if dup:
                     continue
                 accepted.append(cand)
-            out.append(
-                {
-                    "doc_id": hit["doc_id"],
-                    "score": score,
-                    "raw_score": hit["raw_score"],
-                    "variant_type": variant.variant_type,
-                    "engine": variant.engine,
-                    "algorithm": algorithm,
-                    "dedup_count": len(candidates) - n_unique,
-                }
-            )
-        # the query's index terms, tokenized once for proximity ranking,
-        # highlighting and match positions
-        qterms = (self.tokenizer.index_terms(self.tokenizer.tokenize(query))
-                  if prox_rank or (options and (options.highlight or
-                                                options.show_matches_position))
-                  else [])
-        if sort_crit:
-            out = self._apply_sort(out, sort_crit)[offset:offset + k]
-        elif rules_rank:
+            rows.append(i)
+        return rows
+
+    def _order(self, query: str, out: list[dict],
+               options: SearchOptions | None,
+               typo_memo: dict[str, list[str]], ordering: str | None,
+               offset: int, k: int) -> list[dict]:
+        """The accepted hits under _ordering's choice, then the page."""
+        if ordering is None:
+            return out[offset:]
+        if ordering == "sort":
+            out = self._apply_sort(out, options.sort)
+        elif ordering == "rules":
             out = self._rules_chain_order(
                 query, out, options, typo_memo,
-                want_details=bool(options
-                                  and options.show_ranking_score_details),
-            )[offset:offset + k]
-        elif prox_rank:
+                want_details=options.show_ranking_score_details)
+        else:
             # Meilisearch rules chain: words (matched-term count) then
             # proximity (min covering window), proxy ranking as tie-break
             gathered = self.engine.doc_term_positions(
-                [h["doc_id"] for h in out], qterms)
+                [h["doc_id"] for h in out], self._query_terms(query))
             lists = [per_doc(g) for g in gathered.values()]
-            key = {}
-            for i, h in enumerate(out):
+            keys = []
+            for i in range(len(out)):
                 held = [pl[i] for pl in lists if pl[i].size]
-                key[h["doc_id"]] = (-len(held), _min_window_cost(held), i)
-            out.sort(key=lambda h: key[h["doc_id"]])
-            out = out[offset:offset + k]
-        else:
-            out = out[offset:]
-        if options and options.highlight and self.docs_path:
+                keys.append((-len(held), _min_window_cost(held), i))
+            out = [out[key[2]] for key in sorted(keys)]
+        return out[offset:offset + k]
+
+    def _hydrate(self, query: str, out: list[dict],
+                 options: SearchOptions | None) -> list[dict]:
+        """Per-hit extras: highlight, _matchesPosition, _rankingScore."""
+        if options is None:
+            return out
+        if options.show_matches_position and not self.docs_path:
+            raise ValueError("show_matches_position requires docs_path")
+        qterms = (self._query_terms(query) if options.highlight
+                  or options.show_matches_position else [])
+        if options.highlight and self.docs_path:
             texts = self._doc_texts([h["doc_id"] for h in out])
             for h in out:
                 h["highlight"] = self._highlight_snippet(
                     texts.get(h["doc_id"], _NO_TEXT).text, qterms,
                     options.crop_length, options.crop_marker,
                 )
-        if options and options.show_matches_position:
-            if not self.docs_path:
-                raise ValueError("show_matches_position requires docs_path")
+        if options.show_matches_position:
             from ..stages.highlights import extract_spans, merge_spans
 
             texts = self._doc_texts([h["doc_id"] for h in out])
@@ -1197,10 +1333,15 @@ class SearchProxy:
                 h["_matchesPosition"] = {"text": [
                     {"start": s.start, "length": s.end - s.start}
                     for s in spans]}
-        if options and options.show_ranking_score:
+        if options.show_ranking_score:
             for h in out:
                 h["_rankingScore"] = h["score"]
         return out
+
+    def _query_terms(self, query: str) -> list[str]:
+        """The query's index terms, for proximity, highlights and match
+        positions."""
+        return self.tokenizer.index_terms(self.tokenizer.tokenize(query))
 
     def search_with_info(self, query: str, k: int = 10,
                          session_id: str | None = None,
@@ -1416,99 +1557,6 @@ class SearchProxy:
         post = crop_marker if hi < len(text) else ""
         return pre + snippet + post
 
-    # ---------------- ranking-algorithm registry (§2.10 extension point) ----
-
-    def _rank_weighted(self, candidates: list[tuple], analysis: dict):
-        """weighted_score (result_ranker.py:1025-1072): id-dedup keeping the
-        best per the full reference tie-break order; content-similarity
-        clustering is applied downstream by search()."""
-        best: dict[int, tuple] = {}
-        for cand in candidates:
-            doc_id = cand[0]["doc_id"]
-            cur = best.get(doc_id)
-            if cur is None or self._tie_key(cand) < self._tie_key(cur):
-                best[doc_id] = cand
-        return sorted(best.values(), key=self._tie_key), len(best)
-
-    def _rank_optimized(self, candidates: list[tuple], analysis: dict):
-        """optimized_score (result_ranker.py:1074-1133): id-only dedup with
-        the reference's DISJUNCTIVE tie-break (should_replace at :1099-1110):
-        higher score wins; on equal score, replace if EITHER the variant/
-        engine/weight comparison prefers the challenger OR the variant types
-        match and the challenger sat at a lower position. (Yes: with equal
-        types, position can override engine/weight — faithfully mirrored,
-        not an ordered hierarchy.) The production fast path."""
-        best: dict[int, tuple] = {}
-        for cand in candidates:
-            _hit, score, variant, pos = cand
-            doc_id = cand[0]["doc_id"]
-            cur = best.get(doc_id)
-            if cur is None:
-                best[doc_id] = cand
-                continue
-            _chit, cscore, cvariant, cpos = cur
-            replace = score > cscore or (
-                score == cscore
-                and (
-                    self._variant_precedes(variant, cvariant)
-                    or (variant.variant_type == cvariant.variant_type
-                        and pos < cpos)
-                )
-            )
-            if replace:
-                best[doc_id] = cand
-        ranked = sorted(
-            best.values(), key=lambda c: (-c[1], c[0]["doc_id"])
-        )
-        return ranked, len(best)
-
-    def _rank_simple(self, candidates: list[tuple], analysis: dict):
-        """simple_score (result_ranker.py:1183-1205): keep the highest score
-        per doc id, sort by score."""
-        best: dict[int, tuple] = {}
-        for cand in candidates:
-            doc_id = cand[0]["doc_id"]
-            cur = best.get(doc_id)
-            if cur is None or cand[1] > cur[1]:
-                best[doc_id] = cand
-        ranked = sorted(
-            best.values(), key=lambda c: (-c[1], c[0]["doc_id"])
-        )
-        return ranked, len(best)
-
-    def _rank_experimental(self, candidates: list[tuple], analysis: dict):
-        """experimental_score (result_ranker.py:1207-1258): extra x1.2 boost
-        for Thai-dominant queries, then best-score-per-doc."""
-        boost = (
-            EXPERIMENTAL_THAI_BOOST
-            if analysis["thai_content_ratio"] > 0.7 else 1.0
-        )
-        boosted = [
-            (hit, score * boost, variant, pos)
-            for hit, score, variant, pos in candidates
-        ]
-        return self._rank_simple(boosted, analysis)
-
-    _RANKERS = {
-        "weighted_score": _rank_weighted,
-        "optimized_score": _rank_optimized,
-        "simple_score": _rank_simple,
-        "experimental_score": _rank_experimental,
-    }
-
-    @staticmethod
-    def _variant_precedes(v1: QueryVariant, v2: QueryVariant) -> bool:
-        """result_ranker.py:1135-1181 _compare_variants_for_tie_breaking."""
-        p1 = VARIANT_PRIORITY.get(v1.variant_type, 4)
-        p2 = VARIANT_PRIORITY.get(v2.variant_type, 4)
-        if p1 != p2:
-            return p1 < p2
-        e1 = ENGINE_PRIORITY.get(v1.engine, 4)
-        e2 = ENGINE_PRIORITY.get(v2.engine, 4)
-        if e1 != e2:
-            return e1 < e2
-        return v1.weight > v2.weight
-
     def search_phrase(self, phrase: str, k: int = 10) -> list[tuple[int, float]]:
         """Quoted-phrase search (the reference's quoted variant; Meilisearch
         resolves it with positional data).
@@ -1519,17 +1567,11 @@ class SearchProxy:
         terms (posting intersection), (2) literal substring verification
         against the stored doc text (requires docs_path; works for
         no-whitespace Thai phrases because the check is substring)."""
-        if getattr(self.engine, "has_positions", False):
-            import re as _re
-
-            return self.engine.phrase_topk(
-                _re.sub(r"\s+", " ", phrase).strip(), k=k
-            )
+        phrase = _re_mod.sub(r"\s+", " ", phrase).strip()
+        if self.engine.has_positions:
+            return self.engine.phrase_topk(phrase, k=k)
         if not self.docs_path:
             raise ValueError("phrase search requires docs_path (doc text store)")
-        import re
-
-        phrase = re.sub(r"\s+", " ", phrase).strip()
         terms = self.tokenizer.index_terms(self.tokenizer.tokenize(phrase))
         if not terms:
             return []
@@ -1548,19 +1590,6 @@ class SearchProxy:
             if len(out) >= k or len(cands) < cap:
                 return out[:k]  # enough hits, or every AND candidate checked
             cap *= 4
-
-    @staticmethod
-    def _tie_key(cand: tuple):
-        hit, score, variant, pos = cand
-        return (
-            -score,
-            VARIANT_PRIORITY.get(variant.variant_type, 4),
-            ENGINE_PRIORITY.get(variant.engine, 4),
-            pos,
-            -variant.weight,
-            -hit.get("content_length", 0),  # prefer comprehensive docs (:543)
-            hit["doc_id"],  # final deterministic break
-        )
 
 
 class FederatedSearch:

@@ -8,13 +8,15 @@ OOMing, and does query latency stay flat once the index is sharded on disk?
 
 Usage:
     SCALE_DOCS=1000000 python scripts/scale_proof.py
-Prints ONE JSON line.
+Prints ONE JSON line; object_store_spilled_mb is null when the raylet log
+cannot be read.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import sys
 import time
@@ -40,6 +42,24 @@ def _dir_bytes(path: str) -> int:
             except OSError:
                 pass
     return total
+
+
+def _spilled_mb() -> float | None:
+    """MiB this session's object store spilled to disk, at least: the
+    largest of the raylet's "Spilled N MiB" lines in logs/raylet.out, each a
+    running total it logs only now and then (e.g. at 35, 83, 146 and
+    268 MiB of one spilling build). 0.0 when it logged none, None when the
+    log cannot be read (ray's memory_summary has the figure too, but needs
+    grpc)."""
+    import ray
+
+    try:
+        logs = ray._private.worker._global_node.get_logs_dir_path()
+        with open(os.path.join(logs, "raylet.out"), errors="replace") as f:
+            found = re.findall(r"Spilled (\d+) MiB", f.read())
+    except (AttributeError, OSError):
+        return None
+    return float(max(map(int, found), default=0))
 
 
 def main() -> None:
@@ -86,15 +106,7 @@ def main() -> None:
     eff_cores = (_tree_cpu_seconds() - cpu0) / build_sec
 
     # object-store spill evidence: a streaming build should spill, not OOM
-    spilled_mb = 0.0
-    try:
-        summary = ray._private.internal_api.memory_summary(stats_only=True)
-        for line in summary.splitlines():
-            if "Spilled" in line and "MiB" in line:
-                spilled_mb = float(line.split("Spilled")[1].split("MiB")[0])
-                break
-    except Exception:
-        pass
+    spilled_mb = _spilled_mb()
 
     eng = SearchEngine(out)
     eng.warm()

@@ -424,6 +424,24 @@ def test_dead_letter_failed_docs(ray_session, tmp_path):
     assert eng.search("wakame")  # good docs still searchable
     # the failed docs contributed no postings
     assert all(not eng.segments(t) for t in ["none"])
+    # a negative-only query (placeholder search) lists the live docs only:
+    # neither dead-letter rows nor deleted docs
+    from meilisearch_thai_ray.index.maintenance import delete_docs
+    from meilisearch_thai_ray.pipelines.search_proxy import SearchProxy
+
+    docs_path = os.path.join(out, "docs")
+    good = sorted(
+        set(pads.dataset(docs_path).to_table(columns=["doc_id"])["doc_id"]
+            .to_pylist()) - set(dead["doc_id"].to_pylist()))
+    assert len(good) == 3
+
+    def placeholder_ids():
+        proxy = SearchProxy(SearchEngine(out), docs_path=docs_path)
+        return [h["doc_id"] for h in proxy.search("-zzznotaword", k=10)]
+
+    assert placeholder_ids() == good
+    delete_docs(out, [good[0]])
+    assert placeholder_ids() == good[1:]
 
 
 def test_resume_layout_mismatch_discards_partials(built, tmp_path):

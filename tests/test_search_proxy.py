@@ -13,9 +13,13 @@ from meilisearch_thai_ray.index.build import build_index
 from meilisearch_thai_ray.index.search import SearchEngine
 from meilisearch_thai_ray.pipelines.search_proxy import (
     COMPOUND_SPLIT,
+    ENGINE_PRIORITY,
+    EXPERIMENTAL_THAI_BOOST,
     MIXED_LANGUAGE,
     ORIGINAL,
     TOKENIZED,
+    VARIANT_PRIORITY,
+    QueryVariant,
     SearchProxy,
 )
 
@@ -1237,6 +1241,202 @@ def test_cluster_matches_brute_force_pages_index(monkeypatch, cap,
         monkeypatch, eng, docs_path, queries, neg="machine", cap=cap)
     assert dups > 0
     assert (capped > 0) == (cap is not None)
+
+
+# ---- the rank stage: one key table against the sequential rankers ----
+
+
+class _ReferenceRankers:
+    """The ranking algorithms as sequential dedup loops over
+    (hit, score, variant, position) tuples, kept verbatim from before the
+    proxy ranked one columnar batch: the reference its key table must
+    reproduce."""
+
+    def _rank_weighted(self, candidates: list[tuple], analysis: dict):
+        """weighted_score (result_ranker.py:1025-1072): id-dedup keeping the
+        best per the full reference tie-break order; content-similarity
+        clustering is applied downstream by search()."""
+        best: dict[int, tuple] = {}
+        for cand in candidates:
+            doc_id = cand[0]["doc_id"]
+            cur = best.get(doc_id)
+            if cur is None or self._tie_key(cand) < self._tie_key(cur):
+                best[doc_id] = cand
+        return sorted(best.values(), key=self._tie_key), len(best)
+
+    def _rank_optimized(self, candidates: list[tuple], analysis: dict):
+        """optimized_score (result_ranker.py:1074-1133): id-only dedup with
+        the reference's DISJUNCTIVE tie-break (should_replace at :1099-1110):
+        higher score wins; on equal score, replace if EITHER the variant/
+        engine/weight comparison prefers the challenger OR the variant types
+        match and the challenger sat at a lower position. (Yes: with equal
+        types, position can override engine/weight — faithfully mirrored,
+        not an ordered hierarchy.) The production fast path."""
+        best: dict[int, tuple] = {}
+        for cand in candidates:
+            _hit, score, variant, pos = cand
+            doc_id = cand[0]["doc_id"]
+            cur = best.get(doc_id)
+            if cur is None:
+                best[doc_id] = cand
+                continue
+            _chit, cscore, cvariant, cpos = cur
+            replace = score > cscore or (
+                score == cscore
+                and (
+                    self._variant_precedes(variant, cvariant)
+                    or (variant.variant_type == cvariant.variant_type
+                        and pos < cpos)
+                )
+            )
+            if replace:
+                best[doc_id] = cand
+        ranked = sorted(
+            best.values(), key=lambda c: (-c[1], c[0]["doc_id"])
+        )
+        return ranked, len(best)
+
+    def _rank_simple(self, candidates: list[tuple], analysis: dict):
+        """simple_score (result_ranker.py:1183-1205): keep the highest score
+        per doc id, sort by score."""
+        best: dict[int, tuple] = {}
+        for cand in candidates:
+            doc_id = cand[0]["doc_id"]
+            cur = best.get(doc_id)
+            if cur is None or cand[1] > cur[1]:
+                best[doc_id] = cand
+        ranked = sorted(
+            best.values(), key=lambda c: (-c[1], c[0]["doc_id"])
+        )
+        return ranked, len(best)
+
+    def _rank_experimental(self, candidates: list[tuple], analysis: dict):
+        """experimental_score (result_ranker.py:1207-1258): extra x1.2 boost
+        for Thai-dominant queries, then best-score-per-doc."""
+        boost = (
+            EXPERIMENTAL_THAI_BOOST
+            if analysis["thai_content_ratio"] > 0.7 else 1.0
+        )
+        boosted = [
+            (hit, score * boost, variant, pos)
+            for hit, score, variant, pos in candidates
+        ]
+        return self._rank_simple(boosted, analysis)
+
+    _RANKERS = {
+        "weighted_score": _rank_weighted,
+        "optimized_score": _rank_optimized,
+        "simple_score": _rank_simple,
+        "experimental_score": _rank_experimental,
+    }
+
+    @staticmethod
+    def _variant_precedes(v1: QueryVariant, v2: QueryVariant) -> bool:
+        """result_ranker.py:1135-1181 _compare_variants_for_tie_breaking."""
+        p1 = VARIANT_PRIORITY.get(v1.variant_type, 4)
+        p2 = VARIANT_PRIORITY.get(v2.variant_type, 4)
+        if p1 != p2:
+            return p1 < p2
+        e1 = ENGINE_PRIORITY.get(v1.engine, 4)
+        e2 = ENGINE_PRIORITY.get(v2.engine, 4)
+        if e1 != e2:
+            return e1 < e2
+        return v1.weight > v2.weight
+
+    @staticmethod
+    def _tie_key(cand: tuple):
+        hit, score, variant, pos = cand
+        return (
+            -score,
+            VARIANT_PRIORITY.get(variant.variant_type, 4),
+            ENGINE_PRIORITY.get(variant.engine, 4),
+            pos,
+            -variant.weight,
+            -hit.get("content_length", 0),  # prefer comprehensive docs (:543)
+            hit["doc_id"],  # final deterministic break
+        )
+
+
+def test_rank_stage_matches_sequential_rankers():
+    """Over seeded random candidate sets (each variant type at most once,
+    a doc at most once per variant, scores, weights, engines and content
+    lengths drawn from small pools so they tie), the rank stage returns the
+    reference rankers' docs in their order, with their scores, variants
+    and unique-doc count, under every algorithm."""
+    import random
+
+    import numpy as np
+
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    rng = random.Random(15)
+    ref = _ReferenceRankers()
+    types = [sp.ORIGINAL, sp.TOKENIZED, sp.COMPOUND_SPLIT, sp.FALLBACK,
+             sp.MIXED_LANGUAGE]
+    engines = ["none", "newmm", "basic", "attacut"]
+    for _ in range(3000):
+        pool = [rng.getrandbits(63) for _ in range(rng.randint(1, 10))]
+        length = {d: rng.choice([0, 40, 900]) for d in pool}
+        variants = [sp.QueryVariant("q", t, rng.choice(engines),
+                                    rng.choice([0.6, 0.9, 1.0]))
+                    for t in rng.sample(types, rng.randint(1, 5))]
+        cands = []
+        for v in variants:
+            for pos, d in enumerate(rng.sample(pool,
+                                               rng.randint(0, len(pool)))):
+                cands.append(({"doc_id": d, "raw_score": 1.0,
+                               "content_length": length[d]},
+                              rng.choice([0.1, 0.35, 0.35 * 0.7, 1.0]),
+                              v, pos))
+        vindex = {id(v): i for i, v in enumerate(variants)}
+        batch = sp._Batch(
+            np.array([c[0]["doc_id"] for c in cands], np.uint64),
+            np.ones(len(cands)), np.array([c[1] for c in cands], np.float64),
+            np.array([vindex[id(c[2])] for c in cands], np.int64),
+            np.array([c[3] for c in cands], np.int64),
+            np.array([c[0]["content_length"] for c in cands], np.int64))
+        analysis = {"thai_content_ratio": rng.choice([0.0, 0.75])}
+        for algo in sp.RANKING_ALGORITHMS:
+            want, want_n = ref._RANKERS[algo](ref, cands, analysis)
+            got = SearchProxy._rank(batch, variants, algo, analysis)
+            assert len(got.doc_id) == want_n, algo
+            assert got.doc_id.tolist() == [c[0]["doc_id"] for c in want], algo
+            assert got.score.tolist() == [c[1] for c in want], algo
+            assert [variants[v] for v in got.variant.tolist()] == \
+                [c[2] for c in want], algo
+            assert got.pos.tolist() == [c[3] for c in want], algo
+
+
+# sha1 of json.dumps(hits, sort_keys=True) over every request below, per
+# algorithm, as the sequential rankers and per-hit boosts answered them
+_NEARDUP_HITS_SHA1 = {
+    "weighted_score": "2f4d6b013795ed894d075e027b8658b8c6ef6ada",
+    "optimized_score": "dd396195b4d4cb9ed6163fd0eff52c6c401877b4",
+    "simple_score": "fda51118f70bc3b8a1ba65aa895943b6354109da",
+    "experimental_score": "9de3b776b3f98479b818098d4b56cb1a68638471",
+}
+
+
+def test_hits_bit_identical_every_shape_and_algorithm(neardup_index):
+    """The fixture queries in every benchmark request shape under every
+    ranking algorithm return hits identical, scores bit for bit, to the
+    pinned ones."""
+    import hashlib
+    import json
+
+    from meilisearch_thai_ray.pipelines import search_proxy as sp
+
+    eng, docs_path = neardup_index
+    for algo in sp.RANKING_ALGORITHMS:
+        p = SearchProxy(eng, docs_path=docs_path, algorithm=algo)
+        hits = [p.search(fmt.format(q=q, neg="fill3a"),
+                         options=sp.SearchOptions(limit=10, **opts))
+                for q in ("wakameclone", "wakameclone seaweed",
+                          "filler document")
+                for fmt, opts in _SHAPES.values()]
+        digest = hashlib.sha1(
+            json.dumps(hits, sort_keys=True).encode()).hexdigest()
+        assert digest == _NEARDUP_HITS_SHA1[algo], algo
 
 
 # ---- one matching-strategy implementation (index.search.match_topk) ----
