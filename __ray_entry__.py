@@ -2,7 +2,7 @@
 
 entry(): flagship Thai pipeline over /root/testdata/sf0.001 — documents ->
 Common-Crawl-shaped pages -> distributed extract/tokenize -> salted posting
-shuffle -> sharded inverted index -> fixture-query BM25/WAND evaluation.
+shuffle -> sharded inverted index -> fixture-query BM25 evaluation.
 
 queries() / oracle_sql(): one entry per implemented operator family from
 SURVEY.md §2; SQL-expressible ones are verified against DuckDB at sf=0.01

@@ -133,7 +133,7 @@ def run_bench() -> dict:
     for _ in range(3):
         for q in QUERY_FIXTURES:
             t0 = time.perf_counter()
-            eng.search(q["query"], k=10, mode="auto")
+            eng.search(q["query"], k=10)
             lat.append(time.perf_counter() - t0)
     lat.sort()
     p50_ms = lat[len(lat) // 2] * 1000

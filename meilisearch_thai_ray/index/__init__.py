@@ -1,1 +1,1 @@
-"""Sharded inverted index: codec, distributed build, shard reader, BM25/WAND search."""
+"""Sharded inverted index: codec, distributed build, shard reader, BM25 search."""

@@ -222,7 +222,7 @@ def _read_docset(gen_dir: str) -> pa.Table:
 class GenerationalEngine(SearchEngine):
     """SearchEngine over base + delta generations (newest wins).
 
-    Inherits every scoring path (exhaustive / maxscore / WAND / phrase) —
+    Inherits every scoring path (exhaustive / MaxScore / phrase) —
     only segment loading, df and corpus stats are generational."""
 
     def __init__(self, index_dir: str, config: EngineConfig | None = None):

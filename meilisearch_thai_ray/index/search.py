@@ -1,4 +1,4 @@
-"""Query engine: shard reader + BM25 top-k (exhaustive and block-max WAND).
+"""Query engine: shard reader + BM25 top-k.
 
 Scoring is Lucene-style BM25 (k1=1.2, b=0.75; kernel/bm25.py). Guarantees:
 
@@ -6,10 +6,13 @@ Scoring is Lucene-style BM25 (k1=1.2, b=0.75; kernel/bm25.py). Guarantees:
     contribution w * (idf * tfn) per document in sorted-term order, the
     kernel's operation order — scores are bit-identical, ties broken by
     (-score, doc_id);
-  * block-max WAND (score_topk(mode="wand")) prunes with per-block upper
-    bounds w * (idf * block_max_tfn) and returns EXACTLY the exhaustive
-    top-k (asserted in tests) — per-doc evaluation also sums in sorted-term
-    order;
+  * one top-k entry, score_topk, chooses between two vectorized scorers:
+    exhaustive accumulation and MaxScore, which prunes with per-term upper
+    bounds w * (idf * max tfn) and returns EXACTLY the exhaustive top-k
+    (asserted in tests);
+  * the per-block skip pointers and maxima (block_last, block_max) are
+    written with every segment but not read at query time: every posting
+    is decoded, so a block-skipping scorer would save no work;
   * salted segments of one term are doc-disjoint (doc_id % num_salts), so
     total df = sum of segment dfs, and per-term posting traversal concatenates
     segments in salt order.
@@ -20,7 +23,6 @@ layered on top in pipelines/search_proxy.py.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 from collections import Counter
@@ -210,15 +212,15 @@ def phrase_rows(gathered: dict[str, tuple[np.ndarray, np.ndarray]],
 
 
 class _Segment:
-    __slots__ = ("doc_ids", "tfn", "block_last", "block_max", "n",
+    __slots__ = ("doc_ids", "tfn", "max_tfn", "n",
                  "tfs", "pos_bin", "pos_flat", "pos_offsets")
 
-    def __init__(self, doc_ids, tfn, block_last, block_max, tfs=None,
-                 pos_bin=b""):
+    def __init__(self, doc_ids, tfn, tfs=None, pos_bin=b""):
         self.doc_ids = doc_ids
         self.tfn = tfn
-        self.block_last = block_last
-        self.block_max = block_max
+        # MaxScore's per-term upper bound, from the tfn as decoded (shadow
+        # filtering and avgdl overrides included)
+        self.max_tfn = float(tfn.max()) if len(tfn) else 0.0
         self.n = len(doc_ids)
         self.tfs = tfs
         self.pos_bin = pos_bin  # raw; decoded lazily on first phrase access
@@ -265,7 +267,7 @@ class SearchEngine:
         # superseded by a NEWER generation (filtered out of every segment at
         # decode time), avgdl/n_docs overridden with the COMBINED corpus
         # stats (tfn is computed at load, so overriding avgdl rescales
-        # exactly; block metadata is rebuilt from the decoded tfn)
+        # exactly)
         self._shadow = (
             np.asarray(shadow, dtype=np.uint64) if shadow is not None
             and len(shadow) else None
@@ -280,9 +282,7 @@ class SearchEngine:
         self.n_docs = (
             n_docs_override if n_docs_override is not None else self.meta["n_docs"]
         )
-        self._stats_overridden = avgdl_override is not None
         self.num_shards = self.meta["num_shards"]
-        self.block = self.meta["posting_block"]
         self._shard_cache: dict[int, dict[str, list]] = {}
         self._seg_cache: dict[str, list] = {}  # decoded segments per term
         from .maintenance import load_tombstones
@@ -326,15 +326,13 @@ class SearchEngine:
         for path in self._shard_tables(shard):
             t = pq.read_table(path)
             has_pos = "pos_bin" in t.column_names  # pre-positional layout
-            names = ("term", "n_docs", "docs_bin", "tfs_bin", "dls_bin",
-                     "block_last", "block_max")
+            names = ("term", "n_docs", "docs_bin", "tfs_bin", "dls_bin")
             cols = {c: t[c].to_pylist() for c in names}
             pos = t["pos_bin"].to_pylist() if has_pos else [b""] * t.num_rows
             for i, term in enumerate(cols["term"]):
                 terms.setdefault(term, []).append(
                     (cols["n_docs"][i], cols["docs_bin"][i], cols["tfs_bin"][i],
-                     cols["dls_bin"][i], cols["block_last"][i],
-                     cols["block_max"][i], pos[i])
+                     cols["dls_bin"][i], pos[i])
                 )
         if len(self._shard_cache) > SHARD_CACHE_CAP:
             self._shard_cache.clear()
@@ -353,7 +351,7 @@ class SearchEngine:
             self._seg_cache[term] = []
             return []
         segs = []
-        for n_docs, docs_bin, tfs_bin, dls_bin, block_last, block_max, pos_bin in raw:
+        for n_docs, docs_bin, tfs_bin, dls_bin, pos_bin in raw:
             doc_ids, tfs, dls = decode_segment(docs_bin, tfs_bin, dls_bin, n_docs)
             keep = None
             if self._shadow is not None:
@@ -376,20 +374,7 @@ class SearchEngine:
             if keep is not None:
                 doc_ids, tfs, dls = doc_ids[keep], tfs[keep], dls[keep]
             tfn = tfn_scores(tfs, dls, self.avgdl, self.k1, self.b)
-            if keep is not None or self._stats_overridden:
-                # stored block metadata was computed with the build-time
-                # avgdl over the unfiltered postings — rebuild it from the
-                # decoded tfn so every upper bound stays valid
-                n = doc_ids.size
-                starts = np.arange(0, n, self.block)
-                block_max_a = np.maximum.reduceat(tfn, starts)
-                ends = np.minimum(starts + self.block, n) - 1
-                block_last_a = doc_ids[ends].astype(np.int64)
-            else:
-                block_last_a = np.asarray(block_last, dtype=np.int64)
-                block_max_a = np.asarray(block_max, dtype=np.float64)
-            seg = _Segment(doc_ids, tfn, block_last_a, block_max_a,
-                           tfs=tfs, pos_bin=pos_bin)
+            seg = _Segment(doc_ids, tfn, tfs=tfs, pos_bin=pos_bin)
             if pos_flat is not None:
                 seg.pos_flat, seg.pos_offsets = pos_flat, pos_offsets
             segs.append(seg)
@@ -432,15 +417,18 @@ class SearchEngine:
         return rows
 
     def score_topk(self, terms: list[str], k: int = 10,
-                   mode: str = "auto", match: str = "any",
-                   dfs: dict[str, int] | None = None
+                   match: str = "any", dfs: dict[str, int] | None = None
                    ) -> list[tuple[int, float]]:
         """terms: raw query term list (duplicates = weights). -> [(doc_id, score)]
         sorted by (-score, doc_id).
 
-        mode="auto": exhaustive for small candidate sets (vectorized numpy wins),
-        block-max WAND when total postings are large enough that skipping pays.
-        Both return identical results (asserted in tests).
+        The one BM25 top-k entry. match="all" runs the exhaustive scorer;
+        more than 100k postings over more than one term runs MaxScore
+        (_score_maxscore: a doc found only in the common terms' postings
+        is never scored once the rare terms bound it out of the top k),
+        which itself falls back to exhaustive when its bounds prune no
+        term; everything else runs exhaustive, the faster one on small
+        posting sets. Both return identical results (asserted in tests).
 
         match: "any" (OR, default BM25) or "all" (docs must contain every query
         term — Meilisearch matchingStrategy="all", search_executor.py:731-753;
@@ -451,31 +439,14 @@ class SearchEngine:
         loaded = self._weighted(terms, dfs)
         if not loaded or (match == "all" and len(loaded) < len(set(terms))):
             return []
-        # require_all_terms travels as an explicit argument — instance state
-        # here would let concurrent queries on a shared engine interleave and
-        # apply the wrong AND/OR filtering to each other's results
-        require_all = len(loaded) if match == "all" else None
         if match == "all":
-            mode = "exhaustive"  # pruning modes use OR upper bounds; AND filters post-hoc
-        elif mode == "auto":
-            # MEASURED on this engine (BASELINE.md): the python-DAAT WAND
-            # loop is 50-100x slower than the vectorized exhaustive path at
-            # every corpus size tried — its crossover effectively never
-            # happens. The scale path for huge posting lists is the
-            # VECTORIZED MaxScore (batch candidate generation from essential
-            # terms + gathered exact scoring), which degrades gracefully to
-            # ~exhaustive cost when pruning doesn't apply.
-            total_postings = sum(s.n for row in loaded for s in row[3])
-            mode = (
-                "maxscore"
-                if total_postings > 100_000 and len(loaded) > 1
-                else "exhaustive"
-            )
-        if mode == "wand":
-            return self._score_wand(loaded, k)
-        if mode == "maxscore":
+            # MaxScore's bounds are OR bounds; AND filters post-hoc
+            return self._score_exhaustive(loaded, k,
+                                          require_all_terms=len(loaded))
+        if (len(loaded) > 1
+                and sum(s.n for row in loaded for s in row[3]) > 100_000):
             return self._score_maxscore(loaded, k)
-        return self._score_exhaustive(loaded, k, require_all_terms=require_all)
+        return self._score_exhaustive(loaded, k)
 
     def local_dfs(self, terms: list[str]) -> dict[str, int]:
         """Per-term df within this engine's (possibly salt-restricted) data."""
@@ -602,12 +573,11 @@ class SearchEngine:
            gathered by _score_docs (sorted-term order ⇒ bit-identical to the
            exhaustive path, asserted in tests).
 
-        Everything is numpy batch ops — no per-document python loop (the
-        block-max WAND DAAT loop measured 50-100x slower than exhaustive)."""
+        Everything is numpy batch ops — no per-document python loop."""
         dfs = np.array([sum(s.n for s in segs) for *_x, segs in loaded],
                        dtype=np.int64)
         ubs = np.array(
-            [w * (idf_t * max(float(s.block_max.max()) for s in segs if s.n))
+            [w * (idf_t * max(s.max_tfn for s in segs))
              for _t, w, idf_t, segs in loaded],
             dtype=np.float64,
         )
@@ -622,6 +592,8 @@ class SearchEngine:
                 break
         theta0 = 0.0
         sub_hits = self._score_exhaustive([loaded[i] for i in sorted(subset)], k)
+        if len(subset) == len(loaded):
+            return sub_hits  # the subset is every term: its top-k is exact
         if len(sub_hits) >= k:
             theta0 = sub_hits[-1][1]
         # --- essential split by ascending ub ---
@@ -646,86 +618,6 @@ class SearchEngine:
         ))
         return _select_topk(cand, self._score_docs(loaded, cand), k,
                             self._dead_arr)
-
-    def _score_wand(self, loaded, k: int) -> list[tuple[int, float]]:
-        """Block-max WAND (document-at-a-time with pivoting and block skips).
-
-        Cursor list = one per (term, salt) segment, tagged with its term index
-        so full evaluation sums contributions in sorted-term order (float
-        identity with the exhaustive path). Bounds take the contribution's
-        form w * (idf * max): rounding is monotone, so a bound never falls
-        below what it bounds. Pruning uses strict < so ties are never
-        dropped; heap replacement respects the (-score, doc_id) order.
-        """
-        INF = np.uint64(0xFFFFFFFFFFFFFFFF)
-        cursors = []  # [pos, seg, ub, w, idf, term_idx]
-        for t_idx, (_term, w, idf_t, segs) in enumerate(loaded):
-            for seg in segs:
-                if seg.n:
-                    cursors.append([
-                        0, seg, w * (idf_t * float(seg.block_max.max())),
-                        w, idf_t, t_idx])
-        heap: list[tuple[float, int]] = []  # (score, -doc_id) min-heap of k best
-
-        def threshold():
-            return heap[0][0] if len(heap) >= k else -1.0
-
-        def cur_doc(c):
-            return c[1].doc_ids[c[0]] if c[0] < c[1].n else INF
-
-        while True:
-            live = [c for c in cursors if c[0] < c[1].n]
-            if not live:
-                break
-            live.sort(key=cur_doc)
-            theta = threshold()
-            # pivot: first position where cumulative UB can beat theta
-            acc_ub = 0.0
-            pivot_i = -1
-            for i, c in enumerate(live):
-                acc_ub += c[2]
-                if acc_ub > theta or (acc_ub == theta and theta >= 0.0):
-                    pivot_i = i
-                    break
-            if pivot_i < 0:
-                break  # nothing can enter the heap
-            pivot_doc = cur_doc(live[pivot_i])
-            if cur_doc(live[0]) == pivot_doc:
-                # refine with block maxima before full evaluation
-                block_ub = 0.0
-                hit = []
-                for c in live:
-                    if cur_doc(c) != pivot_doc:
-                        break
-                    seg = c[1]
-                    bi = int(np.searchsorted(seg.block_last, np.int64(pivot_doc)))
-                    block_ub += c[3] * (c[4] * float(seg.block_max[bi]))
-                    hit.append(c)
-                alive = int(pivot_doc) not in self._dead
-                if alive and (block_ub > theta or len(heap) < k or block_ub == theta):
-                    hit.sort(key=lambda c: c[5])  # sorted-term order
-                    score = 0.0
-                    for c in hit:
-                        score += c[3] * (c[4] * c[1].tfn[c[0]])
-                    self._heap_push(heap, k, score, int(pivot_doc))
-                for c in hit:
-                    c[0] += 1
-            else:
-                # advance all cursors before pivot to >= pivot_doc (block skip)
-                for c in live[:pivot_i]:
-                    seg = c[1]
-                    c[0] += int(np.searchsorted(seg.doc_ids[c[0]:], pivot_doc))
-        out = sorted(((s, -nd) for s, nd in heap), key=lambda x: (-x[0], x[1]))
-        return [(doc, float(s)) for s, doc in out]
-
-    @staticmethod
-    def _heap_push(heap, k, score, doc_id):
-        """Maintain k best by (-score, doc_id): min-heap on (score, -doc_id)."""
-        item = (score, -doc_id)
-        if len(heap) < k:
-            heapq.heappush(heap, item)
-        elif item > heap[0]:
-            heapq.heapreplace(heap, item)
 
     # ------------- positional phrase search -------------
 
@@ -1109,5 +1001,5 @@ class SearchEngine:
 
     # ------------- public search -------------
 
-    def search(self, query: str, k: int = 10, mode: str = "exhaustive"):
-        return self.score_topk(self.query_terms(query), k=k, mode=mode)
+    def search(self, query: str, k: int = 10):
+        return self.score_topk(self.query_terms(query), k=k)

@@ -106,13 +106,11 @@ class QueryEval:
     the index directory lives on shared storage; per-actor shard caches warm
     with traffic exactly like the serving actors."""
 
-    def __init__(self, index_dir: str, k: int = 10, mode: str = "wand",
-                 use_proxy: bool = False):
+    def __init__(self, index_dir: str, k: int = 10, use_proxy: bool = False):
         from ..index.search import SearchEngine
 
         self.engine = SearchEngine(index_dir)
         self.k = k
-        self.mode = mode
         self.proxy = None
         if use_proxy:
             from .search_proxy import SearchProxy
@@ -132,10 +130,8 @@ class QueryEval:
                     for h in self.proxy.search(query, k=self.k)
                 ]
             else:
-                hits = [
-                    (d, s, "") for d, s in
-                    self.engine.search(query, k=self.k, mode=self.mode)
-                ]
+                hits = [(d, s, "")
+                        for d, s in self.engine.search(query, k=self.k)]
             for r, (d, s, vt) in enumerate(hits, 1):
                 qidx.append(i)
                 qids.append(qid)
@@ -155,7 +151,7 @@ class QueryEval:
         )
 
 
-def _eval_fixture_queries(index_dir: str, k: int, mode: str,
+def _eval_fixture_queries(index_dir: str, k: int,
                           use_proxy: bool) -> pa.Table:
     """Distributed fixture-query evaluation; output rows in fixture order
     (identical to the serial loop, asserted in tests)."""
@@ -165,7 +161,7 @@ def _eval_fixture_queries(index_dir: str, k: int, mode: str,
     ]
     ds = ray.data.from_items(items).map_batches(
         QueryEval,
-        fn_constructor_kwargs={"index_dir": index_dir, "k": k, "mode": mode,
+        fn_constructor_kwargs={"index_dir": index_dir, "k": k,
                                "use_proxy": use_proxy},
         batch_format="pyarrow",
         batch_size=8,
@@ -188,7 +184,7 @@ def flagship_proxy_search(sf_dir: str, k: int = 10):
     pipelines/search_proxy.py) over the flagship index, evaluated as a Ray
     actor-pool pipeline. -> (qid, rank, doc_id, score, variant_type)."""
     index_dir = build_flagship_index(sf_dir)
-    return _eval_fixture_queries(index_dir, k, "wand", use_proxy=True)
+    return _eval_fixture_queries(index_dir, k, use_proxy=True)
 
 
 def flagship_proxy_search_serial(sf_dir: str, k: int = 10):
@@ -284,15 +280,17 @@ def build_metrics(sf_dir: str):
     )
 
 
-def flagship_search(sf_dir: str, k: int = 10, mode: str = "wand"):
+def flagship_search(sf_dir: str, k: int = 10):
     """Build (cached) + evaluate the fixture query set as a Ray actor-pool
-    pipeline (engine loaded once per actor). -> (qid, rank, doc_id, score)."""
+    pipeline (engine loaded once per actor), each query through
+    SearchEngine.search, the one BM25 top-k entry. -> (qid, rank, doc_id,
+    score)."""
     index_dir = build_flagship_index(sf_dir)
-    return _eval_fixture_queries(index_dir, k, mode,
+    return _eval_fixture_queries(index_dir, k,
                                  use_proxy=False).drop_columns(["variant_type"])
 
 
-def flagship_search_serial(sf_dir: str, k: int = 10, mode: str = "wand"):
+def flagship_search_serial(sf_dir: str, k: int = 10):
     """Driver-side serial loop (identity oracle for the pipeline form)."""
     from ..index.search import SearchEngine
 
@@ -300,7 +298,7 @@ def flagship_search_serial(sf_dir: str, k: int = 10, mode: str = "wand"):
     eng = SearchEngine(index_dir)
     qids, ranks, doc_ids, scores = [], [], [], []
     for q in QUERY_FIXTURES:
-        hits = eng.search(q["query"], k=k, mode=mode)
+        hits = eng.search(q["query"], k=k)
         for r, (d, s) in enumerate(hits, 1):
             qids.append(q["qid"])
             ranks.append(r)

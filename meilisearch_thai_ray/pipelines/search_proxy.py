@@ -646,20 +646,31 @@ class SearchProxy:
 
         A negative word that tokenizes to one index term is a plain posting
         read (every doc in its posting list); multi-token words and quoted
-        phrases use the phrase path (adjacency via positions when the index
-        stores them, substring-verify via docs_path otherwise). At serving
-        scale this is a per-shard posting traversal — the same cost class
-        as one extra query term."""
+        phrases use phrase_ids. At serving scale this is a per-shard
+        posting traversal — the same cost class as one extra query term."""
         excl: set[int] = set()
         for w in words:
             seq = self.engine.phrase_seq(w)
             if len(seq) == 1:
                 excl.update(self.engine.word_docs(seq).tolist())
             elif seq:
-                excl.update(d for d, _ in self.search_phrase(w, k=1 << 62))
+                excl |= self.phrase_ids(w)
         for p in phrases:
-            excl.update(d for d, _ in self.search_phrase(p, k=1 << 62))
+            excl |= self.phrase_ids(p)
         return excl
+
+    def phrase_ids(self, phrase: str) -> set[int]:
+        """Live doc ids holding the quoted phrase, unscored: what a phrase
+        restriction keeps or drops. On a positional index, the engine's
+        adjacency docs (a one-term phrase's posting docs); otherwise the
+        substring-verify hits of search_phrase."""
+        if not self.engine.has_positions:
+            return {d for d, _ in self.search_phrase(phrase, k=1 << 62)}
+        seq, docs = self.engine.phrase_docs(
+            _re_mod.sub(r"\s+", " ", phrase).strip())
+        if len(seq) == 1:
+            return set(self.engine.word_docs(seq).tolist())
+        return set(docs) - self.engine._dead
 
     def _placeholder_search(self, excluded: set[int], k: int,
                             offset: int) -> list[dict]:
@@ -986,6 +997,7 @@ class SearchProxy:
         already; it is used unless negative terms or quoted phrases are
         stripped from the query first, as the search then prepares what is
         left."""
+        self._check_options(options)
         raw = query
         if options is not None:
             k = options.limit
@@ -1006,7 +1018,7 @@ class SearchProxy:
             if pos_phrases:
                 query = stripped
                 for p in pos_phrases:
-                    s = {d for d, _ in self.search_phrase(p, k=1 << 62)}
+                    s = self.phrase_ids(p)
                     phrase_allowed = (s if phrase_allowed is None
                                       else phrase_allowed & s)
                     if not phrase_allowed:
@@ -1019,7 +1031,6 @@ class SearchProxy:
                                  else True),
             )
         analysis, _tokens, confidence, variants = prepared
-        self._check_options(options)
         typo_memo: dict[str, list[str]] = {}  # _typo_derivations per word
         batch = self._retrieve(query, variants, analysis, confidence,
                                options, typo_memo)
@@ -1056,6 +1067,8 @@ class SearchProxy:
         if options.distinct not in (None, "doc_id") and not self.docs_path:
             raise ValueError("distinct over metadata fields requires "
                              "docs_path")
+        if options.filters and not self.docs_path:
+            raise ValueError("filters require docs_path")
         if _attrs_on(options) is not None:
             if not self.engine.has_positions:
                 raise ValueError("attributes_to_search_on requires an index "
@@ -1517,7 +1530,7 @@ class SearchProxy:
         STRING (kernel/filter_lang.py grammar) — against the docs table
         restricted to the candidate ids (one pruned read, never a corpus
         scan)."""
-        if not self.docs_path or not doc_ids:
+        if not doc_ids:
             return set()
         import pyarrow.compute as pc
         import pyarrow.dataset as pads

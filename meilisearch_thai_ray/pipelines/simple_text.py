@@ -272,7 +272,7 @@ def bm25_topk(sf_dir: str, query: list[str] | None = None, k: int = 10):
 
     terms = query or BM25_QUERY
     eng = SearchEngine(simple_index_dir(sf_dir))
-    hits = eng.score_topk(terms, k=k, mode="wand")
+    hits = eng.score_topk(terms, k=k)
     return pa.table(
         {
             "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),

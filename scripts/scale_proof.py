@@ -114,7 +114,7 @@ def main() -> None:
     for _ in range(3):
         for q in QUERY_FIXTURES:
             s0 = time.perf_counter()
-            eng.search(q["query"], k=10, mode="auto")
+            eng.search(q["query"], k=10)
             lat.append(time.perf_counter() - s0)
     lat.sort()
 

@@ -69,7 +69,7 @@ def main() -> None:
     lat_local = []
     for q in queries:
         t0 = time.perf_counter()
-        ref[q] = eng.search(q, k=10, mode="auto")
+        ref[q] = eng.search(q, k=10)
         lat_local.append(time.perf_counter() - t0)
     lat_local.sort()
 

@@ -101,17 +101,19 @@ def test_df_matches_oracle(built, oracle):
 
 
 def test_rank_identity_all_fixture_queries(built, oracle, tok):
-    """Top-10 doc_ids AND float64 scores identical: oracle == exhaustive == WAND."""
+    """Top-10 doc_ids AND float64 scores identical: oracle == score_topk ==
+    MaxScore."""
     _, out, _ = built
     eng = SearchEngine(out)
     nonempty = 0
     for q in QUERY_FIXTURES:
         terms = tok.index_terms(tok.tokenize(q["query"]))
         o = oracle.top_k(terms, 10)
-        e = eng.score_topk(terms, 10, mode="exhaustive")
-        w = eng.score_topk(terms, 10, mode="wand")
-        assert e == o, f"exhaustive mismatch for {q['qid']}"
-        assert w == o, f"wand mismatch for {q['qid']}"
+        assert eng.score_topk(terms, 10) == o, f"score_topk mismatch for {q['qid']}"
+        loaded = eng._weighted(terms)
+        if loaded:
+            m = eng._score_maxscore(loaded, 10)
+            assert m == o, f"maxscore mismatch for {q['qid']}"
         nonempty += bool(o)
     assert nonempty >= 25  # the fixture set must actually exercise the index
 
@@ -357,8 +359,7 @@ def test_score_docs_topk_planted_neighbour(built):
     eng = SearchEngine(out)
     a = 1 << 57  # float64 spacing here is 32: a and a + 2 round alike
     ids = np.array([a, a + 2], np.uint64)
-    seg = _Segment(ids, np.array([0.5, 1.0]), np.array([a + 2], np.int64),
-                   np.array([1.0]))
+    seg = _Segment(ids, np.array([0.5, 1.0]))
     eng._seg_cache["zzplanted"] = [seg]
     want = eng._score_exhaustive([("zzplanted", 1.0, 2.0, [seg])], 10)
     assert want == [(a + 2, 2.0), (a, 1.0)]
@@ -724,18 +725,20 @@ def test_maxscore_identical_to_exhaustive(built):
         terms = eng.query_terms(q["query"])
         if not terms:
             continue
-        a = eng.score_topk(terms, 10, mode="exhaustive")
-        m = eng.score_topk(terms, 10, mode="maxscore")
-        assert a == m, q["qid"]
+        loaded = eng._weighted(terms)
+        if not loaded:
+            continue
+        a = eng._score_exhaustive(loaded, 10)
+        assert eng._score_maxscore(loaded, 10) == a, q["qid"]
         checked += bool(a)
     assert checked >= 20
 
 
 def test_maxscore_prunes_skewed_synthetic():
     """On a rare+common skewed query MaxScore actually prunes (the common
-    term goes non-essential) and still matches exhaustive bit-for-bit, and
-    so does WAND — also when the rare term repeats three times: weight 3
-    is not a power of two, so (w*idf)*tfn and w*(idf*tfn) round apart."""
+    term goes non-essential) and still matches exhaustive bit-for-bit —
+    also when the rare term repeats three times: weight 3 is not a power
+    of two, so (w*idf)*tfn and w*(idf*tfn) round apart."""
     import numpy as np
 
     from meilisearch_thai_ray.index.search import SearchEngine, _Segment
@@ -750,12 +753,7 @@ def test_maxscore_prunes_skewed_synthetic():
     def seg(df, seed):
         r = np.random.default_rng(seed)
         ids = np.sort(r.choice(N, size=df, replace=False)).astype(np.uint64)
-        tfn = r.uniform(0.4, 1.6, size=df)
-        nb = (df + 127) // 128
-        bm = np.array([tfn[i * 128:(i + 1) * 128].max() for i in range(nb)])
-        blast = np.array([int(ids[min((i + 1) * 128, df) - 1])
-                          for i in range(nb)], dtype=np.int64)
-        return _Segment(ids, tfn, blast, bm)
+        return _Segment(ids, r.uniform(0.4, 1.6, size=df))
 
     for w in (1.0, 3.0):
         loaded = sorted([
@@ -765,7 +763,38 @@ def test_maxscore_prunes_skewed_synthetic():
         a = eng._score_exhaustive(loaded, 10)
         assert len(a) == 10
         assert eng._score_maxscore(loaded, 10) == a, w
-        assert eng._score_wand(loaded, 10) == a, w
+
+
+def test_maxscore_scores_once_when_rare_subset_is_every_term(monkeypatch):
+    """When the rare terms' covering subset (a df-5 term holds fewer than k
+    docs) already takes in every term, MaxScore returns that subset's exact
+    top-k: score_topk runs exhaustive scoring once, not twice, and the hits
+    equal exhaustive's."""
+    import numpy as np
+
+    from meilisearch_thai_ray.index.search import SearchEngine, _Segment
+
+    N = 200_000
+    eng = SearchEngine.__new__(SearchEngine)
+    eng._dead_arr = None
+    eng.n_docs = N
+    r = np.random.default_rng(7)
+    eng._seg_cache = {
+        t: [_Segment(np.sort(r.choice(N, size=df, replace=False))
+                     .astype(np.uint64), r.uniform(0.4, 1.6, size=df))]
+        for t, df in (("aaa_rare", 5), ("mmm_common", 150_000))}
+    terms = ["aaa_rare", "mmm_common"]
+    want = eng._score_exhaustive(eng._weighted(terms), 10)
+    calls = []
+    real = eng._score_exhaustive
+
+    def spy(loaded, k, **kw):
+        calls.append(sum(s.n for *_x, segs in loaded for s in segs))
+        return real(loaded, k, **kw)
+
+    monkeypatch.setattr(eng, "_score_exhaustive", spy)
+    assert eng.score_topk(terms, 10) == want
+    assert calls == [150_005]
 
 
 def _warc_bytes(records):
@@ -1088,7 +1117,7 @@ def test_doc_partitioned_replicas_identical_and_concurrent(pos_index):
     try:
         assert len(svc.replica_sets) == 3
         terms = eng.query_terms("red fox")
-        want = eng.search("red fox", k=10, mode="auto")
+        want = eng.search("red fox", k=10)
         for _ in range(6):  # cycles every replica twice
             assert svc.score_topk(terms, k=10) == want
         errs: list = []

@@ -147,7 +147,7 @@ def test_select_topk_exact_under_ties(case, pass_dead):
 @st.composite
 def _scoring_case(draw):
     """(loaded rows, k, tombstones): 1-4 terms with weights 1-5, each term's
-    docs split into doc-disjoint salt segments with 4-posting blocks. tfn
+    docs split into doc-disjoint salt segments. tfn
     and idf come from pools of at most 3 values and the docs from a
     40-id universe, so many docs tie on score."""
     from meilisearch_thai_ray.index.search import _Segment
@@ -167,10 +167,7 @@ def _scoring_case(draw):
             tfn = np.array(draw(st.lists(st.sampled_from(tfns),
                                          min_size=ids.size,
                                          max_size=ids.size)))
-            starts = np.arange(0, ids.size, 4)
-            last = ids[np.minimum(starts + 4, ids.size) - 1].astype(np.int64)
-            segs.append(_Segment(ids, tfn, last,
-                                 np.maximum.reduceat(tfn, starts)))
+            segs.append(_Segment(ids, tfn))
         loaded.append((f"t{t}", float(draw(st.integers(1, 5))),
                        draw(st.sampled_from(idfs)), segs))
     k = draw(st.integers(1, 45))
@@ -181,7 +178,7 @@ def _scoring_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(_scoring_case())
 def test_scorers_share_one_contribution(case):
-    """Exhaustive, MaxScore and WAND return the same top-k, ids and float
+    """Exhaustive and MaxScore return the same top-k, ids and float
     scores, as _select_topk over _score_docs of every candidate: all sum
     w * (idf * tfn) per doc in sorted-term order, whatever the weights."""
     from meilisearch_thai_ray.index.search import SearchEngine, _select_topk
@@ -196,7 +193,6 @@ def test_scorers_share_one_contribution(case):
                         eng._dead_arr)
     assert eng._score_exhaustive(loaded, k) == want
     assert eng._score_maxscore(loaded, k) == want
-    assert eng._score_wand(loaded, k) == want
 
 
 # ------------- position gather (doc_term_positions) vs brute force -------
@@ -239,8 +235,7 @@ def _positions_case(draw):
                 ids, tfs, tfs, [0], 1.0,
                 pos_flat=np.concatenate(plists).astype(np.uint64),
             )["pos_bin"][0].as_py()
-            seg = _Segment(ids, np.ones(ids.size), ids.astype(np.int64),
-                           np.ones(ids.size), tfs=tfs, pos_bin=pos_bin)
+            seg = _Segment(ids, np.ones(ids.size), tfs=tfs, pos_bin=pos_bin)
             if draw(st.booleans()):  # decoded up front, raw bytes dropped
                 seg.positions()
                 seg.pos_bin = b""

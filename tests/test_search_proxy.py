@@ -312,6 +312,20 @@ def test_search_options_filters(neardup_index):
     assert none == []
 
 
+def test_search_options_filters_require_docs_path(neardup_index):
+    """A filter is evaluated against the docs table: without docs_path the
+    request raises, as sort and distinct over metadata do, instead of
+    masking out every hit."""
+    import pytest as _pytest
+
+    from meilisearch_thai_ray.pipelines.search_proxy import SearchOptions
+
+    eng, _docs_path = neardup_index
+    with _pytest.raises(ValueError, match="docs_path"):
+        SearchProxy(eng).search(
+            "wakameclone", options=SearchOptions(filters={"lang": "en"}))
+
+
 def test_search_options_highlight_crop(neardup_index):
     from meilisearch_thai_ray.pipelines.search_proxy import SearchOptions
 

@@ -34,7 +34,7 @@ def test_doc_partitioned_equals_local(local):
         checked = 0
         for q in QUERY_FIXTURES:
             terms = tok.index_terms(tok.tokenize(q["query"]))
-            a = local.score_topk(terms, 10, mode="exhaustive")
+            a = local.score_topk(terms, 10)
             b = svc.score_topk(terms, 10)
             assert a == b, q["qid"]
             checked += bool(a)
@@ -46,8 +46,8 @@ def test_doc_partitioned_equals_local(local):
 
 
 @pytest.mark.parametrize("entry", [
-    "score_topk", "exhaustive", "maxscore", "wand", "match_all", "prefix",
-    "search", "proxy", "doc_partitioned"])
+    "score_topk", "match_all", "prefix", "search", "proxy",
+    "doc_partitioned"])
 def test_k_zero_returns_no_hits(local, entry):
     """k=0 asks for nothing: every top-k entry point returns [] (no crash,
     no stray hit), while k=1 on the same query does find one."""
@@ -64,9 +64,6 @@ def test_k_zero_returns_no_hits(local, entry):
     proxy = SearchProxy(local, docs_path=f"{local.index_dir}/docs")
     call = {
         "score_topk": lambda k: local.score_topk(terms, k),
-        "exhaustive": lambda k: local.score_topk(terms, k, mode="exhaustive"),
-        "maxscore": lambda k: local.score_topk(terms, k, mode="maxscore"),
-        "wand": lambda k: local.score_topk(terms, k, mode="wand"),
         "match_all": lambda k: local.score_topk(terms, k, match="all"),
         "prefix": lambda k: local.score_topk_prefix(terms, k),
         "search": lambda k: local.search(query, k),
