@@ -41,11 +41,10 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from ..config import EngineConfig
 from ..state.manifest import atomic_write_parquet
-from .search import SearchEngine
+from .search import NOT_FAILED, SearchEngine
 
 DELTAS_SUBDIR = "deltas"
 
@@ -190,11 +189,8 @@ def add_documents(index_dir: str, pages_path: str, *,
                 batch_size=batch_size)
     # docset: the generation's successfully ingested docs (shadow list +
     # live-stats input). Small by construction (one delta's docs).
-    docs = pads.dataset(os.path.join(gen_dir, "docs"))
-    flt = None
-    if "status" in docs.schema.names:
-        flt = pc.field("status") != "failed"
-    t = docs.to_table(columns=["doc_id", "token_count"], filter=flt)
+    t = SearchEngine(gen_dir).doc_rows(None, ["doc_id", "token_count"],
+                                       where=NOT_FAILED)
     import polars as pl
 
     t = (
@@ -223,7 +219,8 @@ class GenerationalEngine(SearchEngine):
     """SearchEngine over base + delta generations (newest wins).
 
     Inherits every scoring path (exhaustive / MaxScore / phrase) —
-    only segment loading, df and corpus stats are generational."""
+    only segment loading, df, corpus stats and doc rows are
+    generational."""
 
     def __init__(self, index_dir: str, config: EngineConfig | None = None):
         gen_dirs = _gen_dirs(index_dir)
@@ -249,12 +246,8 @@ class GenerationalEngine(SearchEngine):
         n_live = int(base_meta["n_docs"])
         sum_dl = int(base_meta["sum_dl"])
         if shadows[0] is not None:
-            base_docs = pads.dataset(os.path.join(index_dir, "docs"))
-            bflt = pc.field("doc_id").isin(pa.array(shadows[0].astype(np.int64)))
-            if "status" in base_docs.schema.names:
-                bflt = bflt & (pc.field("status") != "failed")
-            bt = base_docs.to_table(columns=["doc_id", "token_count"],
-                                    filter=bflt)
+            bt = SearchEngine(index_dir).doc_rows(
+                shadows[0].tolist(), ["token_count"], where=NOT_FAILED)
             n_live -= bt.num_rows
             sum_dl -= int(pc.sum(bt["token_count"]).as_py() or 0)
         for i in range(len(gen_dirs)):
@@ -275,7 +268,6 @@ class GenerationalEngine(SearchEngine):
                          n_docs_override=n_live, shadow=shadows[i + 1])
             for i, g in enumerate(gen_dirs)
         ]
-        self.generations = [index_dir] + gen_dirs
         self.sum_dl = sum_dl
 
     @property
@@ -288,6 +280,15 @@ class GenerationalEngine(SearchEngine):
         for eng in self._gen_engines:  # generation order => deterministic
             segs.extend(eng.segments(term))
         return segs
+
+    def doc_rows(self, doc_ids: list[int] | None, columns: list[str],
+                 where=None) -> pa.Table:
+        """The base's rows, then each generation's, oldest first, each
+        minus the ids a newer generation shadows: the docs table compact()
+        writes, before it drops tombstones."""
+        return pa.concat_tables(
+            [super().doc_rows(doc_ids, columns, where)]
+            + [e.doc_rows(doc_ids, columns, where) for e in self._gen_engines])
 
     def warm(self) -> int:
         total = super().warm()

@@ -170,22 +170,19 @@ def load_tombstones(index_dir: str) -> set[int]:
 def failed_docs(index_dir: str) -> pa.Table:
     """The dead-letter side output: per-doc failure rows recorded by the
     extract stage (status="failed", reference ProcessingStatus semantics —
-    document_processor.py:25-57,319-343). A targeted filtered read of the
-    docs table; failed rows carry no postings and are excluded from N/avgdl
-    (build.compute_stats), so this is the complete record of what the index
-    does NOT contain and why."""
+    document_processor.py:25-57,319-343), read through doc_rows from the
+    base and every delta generation (a delta keeps its failed rows in its
+    own docs table); a table without a status column has none. Failed rows
+    carry no postings and are excluded from N/avgdl (build.compute_stats),
+    so this is the complete record of what the index does NOT contain and
+    why."""
     import pyarrow.compute as pc
 
-    d = os.path.join(index_dir, "docs")
-    dset = pads.dataset(d)
-    if "status" not in dset.schema.names:  # pre-status index layout
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "url": pa.array([], pa.string()),
-                         "error": pa.array([], pa.string())})
-    return dset.to_table(
-        columns=["doc_id", "url", "error"],
-        filter=pc.field("status") == "failed",
-    )
+    from .incremental import GenerationalEngine
+
+    return GenerationalEngine(index_dir).doc_rows(
+        None, ["doc_id", "url", "error"],
+        where=pc.field("status") == "failed")
 
 
 # ------------------------------------------------ snapshots (S4 adjunct)

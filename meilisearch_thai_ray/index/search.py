@@ -24,10 +24,14 @@ layered on top in pipelines/search_proxy.py.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from collections import Counter
+from functools import reduce
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import EngineConfig
@@ -37,6 +41,9 @@ from .codec import decode_segment, tfn_scores
 
 # shard term tables one engine keeps loaded; the cache resets past this
 SHARD_CACHE_CAP = 64
+# doc_rows `where` for the rows that are not dead letters (status "failed",
+# no postings); a table without a status column has none
+NOT_FAILED = ~pc.field("status").isin(["failed"])
 
 
 def _select_topk(ids: np.ndarray, acc: np.ndarray, k: int,
@@ -273,7 +280,6 @@ class SearchEngine:
             and len(shadow) else None
         )
         self.index_dir = index_dir
-        self.generations = [index_dir]  # dirs holding docs/, oldest first
         self.k1 = self.meta["k1"]
         self.b = self.meta["b"]
         self.avgdl = (
@@ -758,34 +764,43 @@ class SearchEngine:
         out.sort(key=lambda x: (x[1], -x[2], x[0]))
         return out[:k]
 
-    def _doc_meta(self, doc_ids: list[int]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """(title_tc, token_count) int64 arrays aligned to `doc_ids` via
-        one pruned read of each generation's docs table, the newest
-        generation's row winning (title_tc falls back to 0 on pre-v5 docs
-        tables — every occurrence then counts as content; a doc found in no
-        table gets (0, 0))."""
-        import pyarrow.compute as pc
+    # ------------- doc rows -------------
+
+    def doc_rows(self, doc_ids: list[int] | None, columns: list[str],
+                 where=None) -> pa.Table:
+        """`columns` of this index's docs/ rows for `doc_ids` (None = every
+        doc), minus the ids a newer generation shadows, as one filtered
+        Parquet read with the pyarrow expression `where` pushed into it.
+        The one query-side reader of docs/. A column the table lacks reads
+        as null of its DOCS_SCHEMA type (simple_text writes only doc_id,
+        terms and token_count), so `where` sees null there."""
         import pyarrow.dataset as pads
 
-        meta: dict[int, tuple[int, int]] = {}
-        for root in self.generations:
-            docs_dir = os.path.join(root, "docs")
-            if not os.path.isdir(docs_dir):
-                continue
-            dset = pads.dataset(docs_dir)
-            has_ttc = "title_tc" in dset.schema.names
-            t = dset.to_table(
-                columns=["doc_id", "token_count"]
-                + (["title_tc"] if has_ttc else []),
-                filter=pc.field("doc_id").isin(doc_ids))
-            ttc = t["title_tc"].to_pylist() if has_ttc else [0] * t.num_rows
-            meta.update({d: (int(b or 0), int(c or 0)) for d, b, c in
-                         zip(t["doc_id"].to_pylist(), ttc,
-                             t["token_count"].to_pylist())})
-        rows = np.array([meta.get(d, (0, 0)) for d in doc_ids],
-                        dtype=np.int64).reshape(-1, 2)
-        return rows[:, 0], rows[:, 1]
+        from ..stages.extract_tokenize import DOCS_SCHEMA
+
+        dset = pads.dataset(os.path.join(self.index_dir, "docs"))
+        lacks = [f for f in DOCS_SCHEMA if f.name not in dset.schema.names]
+        if lacks:
+            dset = dset.replace_schema(pa.schema([*dset.schema, *lacks]))
+        flt = [] if where is None else [where]
+        if doc_ids is not None:
+            flt.append(pc.field("doc_id").isin(doc_ids))
+        if self._shadow is not None:
+            flt.append(~pc.field("doc_id").isin(self._shadow.astype(np.int64)))
+        return dset.to_table(columns=columns, filter=reduce(
+            operator.and_, flt) if flt else None)
+
+    def doc_values(self, doc_ids: list[int],
+                   columns: list[str]) -> list[np.ndarray]:
+        """Integer `columns` as int64 arrays aligned to `doc_ids`, from one
+        doc_rows read; 0 where a doc has no row or a null value (a pre-v5
+        table's title_tc: every occurrence then counts as content). A doc
+        with several rows takes its last one."""
+        t = self.doc_rows(doc_ids, ["doc_id", *columns])
+        row = {d: i for i, d in enumerate(t["doc_id"].to_pylist())}
+        idx = np.array([row.get(d, -1) for d in doc_ids], np.int64)
+        return [np.append(t[c].fill_null(0).to_numpy(), 0)[idx]
+                .astype(np.int64) for c in columns]
 
     def bm25f_topk(self, terms: list[str], k: int = 10,
                    title_weight: float = 2.0,
@@ -800,10 +815,11 @@ class SearchEngine:
 
         Rerank shape: candidates come from the plain BM25 top-pool (the
         distributed/pruned path), the field-weighted score recomputes only
-        for those k-scale candidates from one position gather + one pruned
-        docs-table read per generation — no second index pass.
-        title_weight=1.0 reproduces score_topk's scores exactly
-        (pytest-asserted identity)."""
+        for those k-scale candidates from one position gather + one
+        doc_values read (title_tc, token_count) — no second index pass.
+        title_weight=1.0 reproduces score_topk's order, and its scores to
+        within an ulp or two: the operation order differs (pytest-asserted
+        to rtol 1e-6)."""
         if not self.has_positions:
             raise ValueError(
                 "index was built without store_positions=True; the field "
@@ -812,7 +828,7 @@ class SearchEngine:
         if not cand:
             return []
         ids = [d for d, _ in cand]
-        boundary, dl = self._doc_meta(ids)
+        boundary, dl = self.doc_values(ids, ["title_tc", "token_count"])
         knorm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
         loaded = self._weighted(terms)
         gathered = self.doc_term_positions(ids, [t for t, *_x in loaded])
@@ -891,7 +907,6 @@ class SearchEngine:
             f.endswith(".parquet") for f in os.listdir(d)
         ):
             return None
-        import pyarrow.compute as pc
         import pyarrow.dataset as pads
 
         # upper bound: bump the last char (standard prefix-range trick);
@@ -935,8 +950,6 @@ class SearchEngine:
                     np.load(os.path.join(td, "row.npy"), mmap_mode="r"),
                     t["term"].combine_chunks(), t["df"].combine_chunks())
             else:
-                import pyarrow as pa
-
                 from .build import typo_arrays
 
                 hits = self._prefix_hits("")

@@ -32,6 +32,7 @@ Faithful re-implementation (exact constants) of the reference's query side:
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -39,7 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..config import EngineConfig
-from ..index.search import _min_window_cost, match_topk, per_doc, phrase_rows
+from ..index.search import (NOT_FAILED, _min_window_cost, match_topk,
+                            per_doc, phrase_rows)
 from ..kernel.charclass import is_thai_text
 
 ORIGINAL = "original"
@@ -555,7 +557,14 @@ class SearchProxy:
     boosts) -> _rank (dedup + the algorithm's _RANK_KEYS row) -> _restrict
     (one mask) -> _cluster (distinct, D3) -> _order (sort / rules chain /
     proximity, pagination) -> _hydrate (highlight, match positions,
-    ranking score)."""
+    ranking score).
+
+    Every doc text and field is read through engine.doc_rows, which
+    composes an index's generations. docs_path switches on the features
+    that read them (exact-match boost, clustering, highlights, match
+    positions, filters, sort and distinct over fields, placeholder search,
+    title boundaries); it must name the engine's own docs table, and the
+    proxy never opens it."""
 
     def __init__(self, engine, docs_path: str | None = None,
                  config: EngineConfig | None = None,
@@ -563,6 +572,10 @@ class SearchProxy:
                  algorithm: str = "weighted_score",
                  enable_content_similarity_dedup: bool = True):
         self.engine = engine  # index.search.SearchEngine
+        if docs_path is not None and os.path.realpath(docs_path) != \
+                os.path.realpath(os.path.join(engine.index_dir, "docs")):
+            raise ValueError(f"docs_path {docs_path!r} is not the engine's "
+                             f"docs table under {engine.index_dir!r}")
         self.config = config or EngineConfig()
         # §2.10 extension surface: pluggable ranking algorithm registry
         # (result_ranker.py:26-32,127-132) + hash-based A/B assignment
@@ -574,7 +587,7 @@ class SearchProxy:
         self.ab_testing_enabled = False
         self.ab_test_algorithm: str | None = None
         self.ab_test_traffic_percentage = 0.0
-        self.docs_path = docs_path  # optional docs parquet for exact-match/content
+        self.docs_path = docs_path
         # D5 synonym map (settings_manager.py:226-249 set-union semantics),
         # applied query-side like Meilisearch does: canonical -> variants,
         # symmetric closure built once
@@ -593,8 +606,8 @@ class SearchProxy:
     def _doc_texts(self, doc_ids: list[int]) -> dict[int, _DocText]:
         """Doc records (text, lowered text, clustering text) for the
         exact-match boost, clustering, highlighting and phrase checks, via
-        one targeted filtered parquet read of the ids not cached yet (only
-        when docs_path is configured).  Cached per proxy across requests,
+        one engine.doc_rows read of the ids not cached yet (only when
+        docs_path is configured).  Cached per proxy across requests,
         evicted past DOC_CACHE_BYTES."""
         if not self.docs_path:
             return {}
@@ -614,16 +627,10 @@ class SearchProxy:
             self._cluster_bytes = _Tally()
         missing = [d for d in doc_ids if d not in self._doc_cache]
         if missing:
-            import pyarrow.compute as pc
-            import pyarrow.dataset as pads
-
-            t = pads.dataset(self.docs_path).to_table(
-                columns=["doc_id", "text"],
-                filter=pc.field("doc_id").isin(missing),
-            )
+            t = self.engine.doc_rows(missing, ["doc_id", "text"])
             for d, text in zip(t["doc_id"].to_pylist(),
                                t["text"].to_pylist()):
-                rec = self._doc_cache[d] = _DocText(text)
+                rec = self._doc_cache[d] = _DocText(text or "")
                 self._text_bytes += sys.getsizeof(d) + rec.nbytes()
         return {d: self._doc_cache[d] for d in doc_ids
                 if d in self._doc_cache}
@@ -678,17 +685,12 @@ class SearchProxy:
         internal (doc_id) order. Used when a query is ONLY negative
         keywords; needs docs_path (the doc-id universe lives in the docs
         table). Dead-letter rows (status "failed", no postings) and the
-        engine's deleted docs are not live."""
+        engine's deleted docs are not live; a table without a status column
+        has no dead-letter rows."""
         if not self.docs_path:
             return []
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
-        ds = pads.dataset(self.docs_path)
-        flt = (pc.field("status") != "failed"
-               if "status" in ds.schema.names else None)
-        ids = ds.to_table(columns=["doc_id"], filter=flt)["doc_id"] \
-            .to_numpy().astype(np.uint64)
+        ids = self.engine.doc_rows(None, ["doc_id"], where=NOT_FAILED)[
+            "doc_id"].to_numpy().astype(np.uint64)
         ids = np.sort(ids[~np.isin(ids, _id_array(
             excluded | self.engine._dead))])
         return [
@@ -1218,14 +1220,11 @@ class SearchProxy:
             keep &= np.isin(ids, _id_array(phrase_allowed))
         attrs_on = _attrs_on(options)
         if attrs_on is not None and ids.size:
-            # one pruned title_tc read and one position gather for the
-            # whole candidate set: a hit survives iff some direct query
-            # term occurs inside an allowed field (title = positions before
-            # the doc's title_tc boundary, content = at or after it)
-            ttc = {d: int(v.get("title_tc") or 0) for d, v in
-                   self._doc_fields(ids.tolist(), ["title_tc"]).items()}
-            boundary = np.array([ttc.get(d, 0) for d in ids.tolist()],
-                                np.int64)
+            # one title_tc read and one position gather for the whole
+            # candidate set: a hit survives iff some direct query term
+            # occurs inside an allowed field (title = positions before the
+            # doc's title_tc boundary, content = at or after it)
+            boundary = self.engine.doc_values(ids.tolist(), ["title_tc"])[0]
             ok = np.zeros(ids.size, dtype=bool)
             for counts, flat in self.engine.doc_term_positions(
                     ids, self.engine.phrase_seq(query)).values():
@@ -1425,14 +1424,8 @@ class SearchProxy:
         if not uniq or not hits:
             return hits
         ids = [h["doc_id"] for h in hits]
-        ttc: dict[int, int] = {}
-        if self.docs_path:
-            try:
-                fields = self._doc_fields(ids, ["title_tc"])
-                ttc = {d: int(v.get("title_tc") or 0)
-                       for d, v in fields.items()}
-            except Exception:  # pre-v5 docs table: no title boundary
-                ttc = {}
+        boundaries = (eng.doc_values(ids, ["title_tc"])[0] if self.docs_path
+                      else np.zeros(len(ids), np.int64)).tolist()
         gathered = eng.doc_term_positions(ids, uniq)
         exact_rows = phrase_rows(gathered, seq, len(ids))
         lists = {t: per_doc(g) for t, g in gathered.items()}
@@ -1445,7 +1438,7 @@ class SearchProxy:
             ids, [x for c in derivs.values() for x, _ in c]).items())
         keyed = []
         for i, h in enumerate(hits):
-            boundary = ttc.get(h["doc_id"], 0)
+            boundary = boundaries[i]
             words = typo = attr = 0
             direct: list[np.ndarray] = []
             for t in uniq:
@@ -1487,18 +1480,12 @@ class SearchProxy:
 
     def _doc_fields(self, doc_ids: list[int],
                     fields: list[str]) -> dict[int, dict]:
-        """Sortable-field values for a candidate id set via one pruned
-        parquet read (never a corpus scan)."""
+        """Sortable-field values for a candidate id set via one
+        engine.doc_rows read (never a corpus scan)."""
         want = [f for f in dict.fromkeys(fields) if f != "doc_id"]
         if not want or not self.docs_path or not doc_ids:
             return {d: {} for d in doc_ids}
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
-        t = pads.dataset(self.docs_path).to_table(
-            columns=["doc_id"] + want,
-            filter=pc.field("doc_id").isin(doc_ids))
-        rows = t.to_pylist()
+        rows = self.engine.doc_rows(doc_ids, ["doc_id"] + want).to_pylist()
         return {r["doc_id"]: {f: r[f] for f in want} for r in rows}
 
     def _apply_sort(self, hits: list[dict],
@@ -1527,20 +1514,15 @@ class SearchProxy:
                         dsl: "dict | str") -> set[int]:
         """Per-request metadata filter (reference SearchOptions.filters):
         evaluate the filter — a dict-DSL object OR a Meilisearch filter
-        STRING (kernel/filter_lang.py grammar) — against the docs table
-        restricted to the candidate ids (one pruned read, never a corpus
-        scan)."""
+        STRING (kernel/filter_lang.py grammar) — pushed into one
+        engine.doc_rows read of the candidate ids (never a corpus scan)."""
         if not doc_ids:
             return set()
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
         from ..stages.filter_dsl import compile_filter, compile_filter_str
 
-        base = (compile_filter_str(dsl) if isinstance(dsl, str)
-                else compile_filter(dsl))
-        expr = base & pc.field("doc_id").isin(doc_ids)
-        t = pads.dataset(self.docs_path).to_table(columns=["doc_id"], filter=expr)
+        where = (compile_filter_str(dsl) if isinstance(dsl, str)
+                 else compile_filter(dsl))
+        t = self.engine.doc_rows(doc_ids, ["doc_id"], where=where)
         return set(t["doc_id"].to_pylist())
 
     def _highlight_snippet(self, text: str, terms: list[str],

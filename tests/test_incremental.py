@@ -230,7 +230,7 @@ def test_incremental_resume_incomplete_generation(incr, tmp_path):
     os.remove(os.path.join(gen, "complete"))
     # the engine must ignore the incomplete generation entirely
     ge = GenerationalEngine(clone)
-    assert len(ge.generations) == 1
+    assert len(ge._gen_engines) == 0
     # resume completes the SAME generation (no gen-0001 appears)
     _mk_pages(str(tmp_path / "pagesB2"), _corpus_b())
     out = add_documents(clone, str(tmp_path / "pagesB2"))
@@ -386,3 +386,228 @@ def test_compact_drops_tombstones_everywhere(incr, tmp_path):
         hits = ce.score_topk(terms, 50)
         assert hits == re.score_topk(terms, 50), terms
         assert not gone_ids & {d for d, _ in hits}
+
+
+# ------------------------------------------------------------------
+# the proxy over generations equals the proxy over compact()
+
+def _gen_pages(path, rows):
+    """rows of (url, title, body, lang); body None = an unreadable page
+    (a dead-letter row)."""
+    os.makedirs(path, exist_ok=True)
+    pq.write_table(
+        pa.table({
+            "url": pa.array([r[0] for r in rows], pa.string()),
+            "html": pa.array([
+                None if body is None else
+                f"<html><head><title>{title}</title></head><body><p>{body}"
+                "</p></body></html>".encode()
+                for _u, title, body, _l in rows], pa.binary()),
+            "lang": pa.array([r[3] for r in rows], pa.string()),
+        }),
+        os.path.join(path, "p.parquet"),
+    )
+
+
+def _words(rng, n):
+    return " ".join(V0[rng.randrange(len(V0))] for _ in range(n))
+
+
+@pytest.fixture(scope="module")
+def gens(ray_session, tmp_path_factory):
+    """base (12 pages and one unreadable) + delta 1 (a re-versioned base
+    page, a Thai page, an English page, an unreadable page) + delta 2 (a
+    re-versioned base page, a re-versioned delta-1 page, a new page), and
+    its compact(). Tombstones for one base and one delta-1 doc go to both
+    indexes after compact(), which drops them and makes N/avgdl true again
+    (a deliberate score change, see compact); applied to both, they leave
+    both engines the same stats."""
+    import random
+
+    from meilisearch_thai_ray.functions.hashing import doc_id_from_url
+    from meilisearch_thai_ray.index.incremental import compact
+    from meilisearch_thai_ray.index.maintenance import delete_docs
+
+    root = tmp_path_factory.mktemp("gens")
+    rng = random.Random(7)
+    base_rows = [
+        (f"https://gen.ex/{i}", _words(rng, 2), _words(rng, 20)
+         + (" สาหร่ายวากาเมะ" if i % 3 == 0 else ""),
+         "en" if i % 2 == 0 else "th")
+        for i in range(12)] + [("https://gen.ex/bad-base", "", None, "en")]
+    d1 = [("https://gen.ex/0", "kombu " + _words(rng, 1),
+           "revised kombu " + _words(rng, 15), "en"),
+          ("https://gen.ex/new0", "ซุปมิโซะ",
+           "ซุปมิโซะ สาหร่ายวากาเมะ miso wakame", "en"),
+          ("https://gen.ex/new1", "ginger", "kelp " + _words(rng, 12), "th"),
+          ("https://gen.ex/bad0", "", None, "en")]
+    d2 = [("https://gen.ex/1", _words(rng, 2),
+           "revised twice " + _words(rng, 18), "th"),
+          ("https://gen.ex/new1", "ginger", "kelp revised " + _words(rng, 9),
+           "en"),
+          ("https://gen.ex/new2", "sesame", "miso sesame " + _words(rng, 6),
+           "th")]
+    base = str(root / "base")
+    for name, rows in (("pages", base_rows), ("d1", d1), ("d2", d2)):
+        _gen_pages(str(root / name), rows)
+    build_index(str(root / "pages"), base, CFG, num_salts=2, batch_size=64)
+    add_documents(base, str(root / "d1"))
+    add_documents(base, str(root / "d2"))
+    cmp = str(root / "cmp")
+    compact(base, cmp)
+    gone = [doc_id_from_url(u) for u in ("https://gen.ex/5",
+                                          "https://gen.ex/new1")]
+    for d in (base, cmp):
+        delete_docs(d, gone)
+    return base, cmp
+
+
+def _ids(*urls):
+    from meilisearch_thai_ray.functions.hashing import doc_id_from_url
+
+    return {doc_id_from_url(u) for u in urls}
+
+
+# perfbench's proxy request shapes (perfbench/bench_inputs.py proxy_call),
+# rebuilt here, each over every query below
+_SHAPES = {
+    "default": {},
+    "frequency": {"matching_strategy": "frequency"},
+    "typo": {"typo_tolerance": True, "matching_strategy": "any"},
+    "highlight": {"highlight": True, "show_matches_position": True},
+    "rules": {"ranking_rules": True},
+    "lang": {"filters": {"lang": "th"}},
+    "phrase": {},
+    "negative": {},
+}
+_GEN_QUERIES = ["wakame", "ramen broth", "สาหร่ายวากาเมะ", "spicy ginger",
+                "kombu", "revised sesame", "miso", "kelp"]
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_proxy_over_generations_equals_compacted_shapes(gens, shape):
+    """Every perfbench request shape answers the same, scores and all, over
+    base + 2 deltas + tombstones as over its compact()."""
+    from meilisearch_thai_ray.pipelines.search_proxy import (
+        SearchOptions,
+        SearchProxy,
+    )
+
+    base, cmp = gens
+    gp = SearchProxy(GenerationalEngine(base),
+                     docs_path=os.path.join(base, "docs"))
+    cp = SearchProxy(SearchEngine(cmp), docs_path=os.path.join(cmp, "docs"))
+    for q in _GEN_QUERIES:
+        if shape == "phrase":
+            q = f'"{q}"'
+        elif shape == "negative":
+            q = f"{q} -noodle"
+        opts = SearchOptions(limit=10, **_SHAPES[shape])
+        assert gp.search(q, options=opts) == cp.search(q, options=opts), q
+
+
+# (query, SearchOptions keywords, doc urls the answer must hold)
+_GEN_CASES = {
+    # the delta-only doc's highlight is its own text
+    "highlight_delta_doc": ("miso", {"highlight": True},
+                            ["https://gen.ex/new0"]),
+    # a re-versioned doc's highlight is its newest text
+    "highlight_reversioned": ("kombu", {"highlight": True},
+                              ["https://gen.ex/0"]),
+    "matches_position": ("revised", {"show_matches_position": True},
+                         ["https://gen.ex/0", "https://gen.ex/1"]),
+    # a filter sees delta docs' fields
+    "filter_en": ("miso", {"filters": {"lang": "en"}},
+                  ["https://gen.ex/new0"]),
+    "sort_token_count": ("wakame", {"sort": ["token_count:desc"]},
+                         ["https://gen.ex/new0"]),
+    # a negative-only query lists delta docs, no dead-letter row and no
+    # deleted doc
+    "negative_only": ("-ramen", {"limit": 100}, ["https://gen.ex/new0",
+                                                "https://gen.ex/new2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GEN_CASES))
+def test_proxy_over_generations_equals_compacted(gens, case):
+    from meilisearch_thai_ray.pipelines.search_proxy import (
+        SearchOptions,
+        SearchProxy,
+    )
+
+    base, cmp = gens
+    query, kw, must = _GEN_CASES[case]
+    opts = SearchOptions(**kw)
+    gp = SearchProxy(GenerationalEngine(base),
+                     docs_path=os.path.join(base, "docs"))
+    cp = SearchProxy(SearchEngine(cmp), docs_path=os.path.join(cmp, "docs"))
+    got = gp.search(query, options=opts)
+    assert got == cp.search(query, options=opts)
+    ids = {h["doc_id"] for h in got}
+    assert _ids(*must) <= ids
+    assert not _ids("https://gen.ex/5", "https://gen.ex/new1",
+                    "https://gen.ex/bad0", "https://gen.ex/bad-base") & ids
+    word = query.strip("-")
+    for h in got:
+        if "highlight" in h and h["doc_id"] in _ids(*must):
+            assert word in h["highlight"]
+
+
+def test_failed_docs_reads_every_generation(gens):
+    """A delta's dead-letter rows live in its own docs table: failed_docs
+    over the generations equals failed_docs over compact()."""
+    from meilisearch_thai_ray.index.maintenance import failed_docs
+
+    base, cmp = gens
+    got = failed_docs(base).sort_by("doc_id")
+    assert got.equals(failed_docs(cmp).sort_by("doc_id"))
+    assert set(got["doc_id"].to_pylist()) == _ids("https://gen.ex/bad0",
+                                                  "https://gen.ex/bad-base")
+
+
+def test_docs_table_without_optional_columns(gens, tmp_path):
+    """A docs table with only doc_id, terms and token_count (the simple_text
+    layout): each absent column reads as null, so nothing counts as failed,
+    a null title_tc puts every occurrence in the content, a null text is
+    empty, and failed_docs is empty."""
+    import shutil
+
+    import pyarrow.dataset as pads
+
+    from meilisearch_thai_ray.index.maintenance import failed_docs
+    from meilisearch_thai_ray.pipelines.search_proxy import (
+        SearchOptions,
+        SearchProxy,
+    )
+
+    _base, cmp = gens
+    out = str(tmp_path / "slim")
+    shutil.copytree(cmp, out)
+    docs = pads.dataset(os.path.join(out, "docs")).to_table(
+        columns=["doc_id", "terms", "token_count"])
+    shutil.rmtree(os.path.join(out, "docs"))
+    os.makedirs(os.path.join(out, "docs"))
+    pq.write_table(docs, os.path.join(out, "docs", "docs.parquet"))
+
+    assert failed_docs(out).equals(pa.table({
+        "doc_id": pa.array([], pa.int64()), "url": pa.array([], pa.string()),
+        "error": pa.array([], pa.string())}))
+    eng = SearchEngine(out)
+    proxy = SearchProxy(eng, docs_path=os.path.join(out, "docs"))
+    listed = proxy.search("-ramen", options=SearchOptions(limit=100))
+    has_ramen = set(eng.word_docs(["ramen"]).tolist())
+    assert [h["doc_id"] for h in listed] == sorted(
+        d for d in docs["doc_id"].to_pylist()
+        if d not in has_ramen and d not in eng._dead)
+    # no title boundary: the title weight changes nothing
+    full = SearchEngine(cmp)
+    for terms in (["wakame"], ["ramen", "broth"], ["kelp", "sesame"]):
+        assert eng.bm25f_topk(terms, 10, title_weight=2.0) == \
+            full.bm25f_topk(terms, 10, title_weight=1.0), terms
+    hits = proxy.search("ginger sesame", options=SearchOptions(
+        ranking_rules=True, show_ranking_score_details=True))
+    assert hits
+    for h in hits:
+        d = h["_rankingScoreDetails"]
+        assert d["attribute"]["contentOnlyMatches"] == \
+            d["words"]["matchedWords"]

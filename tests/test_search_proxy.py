@@ -326,6 +326,23 @@ def test_search_options_filters_require_docs_path(neardup_index):
             "wakameclone", options=SearchOptions(filters={"lang": "en"}))
 
 
+def test_docs_path_must_be_the_engines_docs(neardup_index, tmp_path):
+    """docs_path only switches the doc features on: every read goes through
+    the engine, so a path naming another table raises instead of being
+    silently ignored; a link to the engine's own table is that table."""
+    import os
+
+    from meilisearch_thai_ray.pipelines.search_proxy import SearchOptions
+
+    eng, docs_path = neardup_index
+    with pytest.raises(ValueError, match="docs_path"):
+        SearchProxy(eng, docs_path=str(tmp_path))
+    link = tmp_path / "docs-link"
+    os.symlink(docs_path, link)
+    assert SearchProxy(eng, docs_path=str(link)).search(
+        "wakameclone", options=SearchOptions(highlight=True))[0]["highlight"]
+
+
 def test_search_options_highlight_crop(neardup_index):
     from meilisearch_thai_ray.pipelines.search_proxy import SearchOptions
 
@@ -1049,7 +1066,7 @@ def test_cluster_bytes_count_masks_when_built(tmp_path):
     import sys
 
     import pyarrow as pa
-    import pyarrow.parquet as pq
+    import pyarrow.compute as pc
 
     from meilisearch_thai_ray.kernel import html_to_text
     from meilisearch_thai_ray.pipelines import search_proxy as sp
@@ -1063,10 +1080,17 @@ def test_cluster_bytes_count_masks_when_built(tmp_path):
             chars[rng.randrange(len(chars))] = "ก"
         texts.append("".join(chars) + t[500:])
     texts.append("สั้น")  # shorter than 500 chars: the record's own text
-    pq.write_table(pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                             "text": pa.array(texts, pa.string())}),
-                   str(tmp_path / "docs.parquet"))
-    proxy = SearchProxy(None, docs_path=str(tmp_path))
+    docs = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                     "text": pa.array(texts, pa.string())})
+
+    class DocsOnly:  # the engine surface the doc cache reads
+        index_dir = str(tmp_path)
+
+        def doc_rows(self, doc_ids, columns, where=None):
+            return docs.filter(pc.is_in(docs["doc_id"],
+                                        pa.array(doc_ids, pa.int64())))
+
+    proxy = SearchProxy(DocsOnly(), docs_path=str(tmp_path / "docs"))
     accepted = []
     for d in range(len(texts)):
         cand = proxy._cluster_text(d)
