@@ -246,7 +246,8 @@ class GenerationalEngine(SearchEngine):
         n_live = int(base_meta["n_docs"])
         sum_dl = int(base_meta["sum_dl"])
         if shadows[0] is not None:
-            bt = SearchEngine(index_dir).doc_rows(
+            # a Parquet read: opening builds no doc-value table
+            bt = SearchEngine(index_dir)._read_docs(
                 shadows[0].tolist(), ["token_count"], where=NOT_FAILED)
             n_live -= bt.num_rows
             sum_dl -= int(pc.sum(bt["token_count"]).as_py() or 0)
@@ -281,14 +282,15 @@ class GenerationalEngine(SearchEngine):
             segs.extend(eng.segments(term))
         return segs
 
-    def doc_rows(self, doc_ids: list[int] | None, columns: list[str],
-                 where=None) -> pa.Table:
+    def _read_docs(self, doc_ids, columns: list[str], where=None) -> pa.Table:
         """The base's rows, then each generation's, oldest first, each
         minus the ids a newer generation shadows: the docs table compact()
-        writes, before it drops tombstones."""
+        writes, before it drops tombstones. doc_rows, doc_values and the
+        doc-value table read through this, so each composes generations."""
         return pa.concat_tables(
-            [super().doc_rows(doc_ids, columns, where)]
-            + [e.doc_rows(doc_ids, columns, where) for e in self._gen_engines])
+            [super()._read_docs(doc_ids, columns, where)]
+            + [e._read_docs(doc_ids, columns, where)
+               for e in self._gen_engines])
 
     def warm(self) -> int:
         total = super().warm()

@@ -343,59 +343,38 @@ def index_stats(index_dir: str) -> dict:
     monitoring pulls from Meilisearch (`api/endpoints/monitoring.py:630`
     get_stats -> total_documents / per-index numberOfDocuments).
 
-    Scale shape: ONE pruned distributed read of the docs tables (title_tc /
-    status / lang / url only — never text or terms), per-batch integer
-    partial sums, O(batches) rows to the driver. numberOfDocuments counts
-    LIVE docs (tombstones subtracted); isIndexing is true iff an incomplete
-    delta generation exists (the `complete` marker is written last, so this
-    is exactly "a build is in flight or died mid-build")."""
+    Shape: one GenerationalEngine.doc_rows read of three in-memory doc-value
+    columns (status / title_tc / lang, never text or terms), so a doc a
+    newer generation re-versions counts once, as in compact()'s table.
+    numberOfDocuments counts LIVE docs (dead-letter rows and tombstones
+    subtracted); isIndexing is true iff an incomplete delta generation
+    exists (the `complete` marker is written last, so this is exactly "a
+    build is in flight or died mid-build")."""
     import json
 
-    import ray.data
+    import pyarrow.compute as pc
 
-    from .incremental import _gen_dirs
+    from .incremental import GenerationalEngine, _gen_dirs
+    from .search import NOT_FAILED
 
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
-
-    docs_dirs = [os.path.join(index_dir, "docs")]
-    complete = _gen_dirs(index_dir, complete_only=True)
-    docs_dirs += [os.path.join(g, "docs") for g in complete]
-    all_gens = _gen_dirs(index_dir, complete_only=False)
-    is_indexing = len(all_gens) > len(complete)
-
+    is_indexing = len(_gen_dirs(index_dir, complete_only=False)) > len(
+        _gen_dirs(index_dir, complete_only=True))
     dead = _tombstones(index_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ok = pc.not_equal(batch["status"], "failed")
-        return pa.table({
-            "n": pa.array([batch.num_rows], pa.int64()),
-            "n_ok": pa.array([pc.sum(ok).as_py() or 0], pa.int64()),
-            "n_title": pa.array(
-                [pc.sum(pc.and_(ok, pc.greater(batch["title_tc"], 0))
-                        ).as_py() or 0], pa.int64()),
-            "n_lang": pa.array(
-                [pc.sum(pc.and_(ok, pc.not_equal(batch["lang"], "")
-                                )).as_py() or 0], pa.int64()),
-        })
-
-    ds = ray.data.read_parquet(
-        docs_dirs, columns=["status", "title_tc", "lang"])
-    parts = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    n = sum(r["n"] for r in parts)
-    n_ok = sum(r["n_ok"] for r in parts)
-    n_title = sum(r["n_title"] for r in parts)
-    n_lang = sum(r["n_lang"] for r in parts)
+    rows = GenerationalEngine(index_dir).doc_rows(
+        None, ["status", "title_tc", "lang"])
+    ok = rows.filter(NOT_FAILED)
+    n_ok = ok.num_rows
     return {
         "numberOfDocuments": n_ok - len(dead),
         "isIndexing": is_indexing,
         "fieldDistribution": {
             "url": n_ok, "content": n_ok,
-            "title": n_title, "lang": n_lang,
+            "title": pc.sum(pc.greater(ok["title_tc"], 0)).as_py() or 0,
+            "lang": pc.sum(pc.not_equal(ok["lang"], "")).as_py() or 0,
         },
-        "rawDocumentRows": n,
+        "rawDocumentRows": rows.num_rows,
         "tombstones": len(dead),
         "numSalts": meta.get("num_salts", 1),
     }

@@ -37,6 +37,7 @@ import pyarrow.parquet as pq
 from ..config import EngineConfig
 from ..kernel.bm25 import idf as _idf
 from ..kernel.tokenize import DocumentTokenizer
+from ..stages.extract_tokenize import DOCS_SCHEMA
 from .codec import decode_segment, tfn_scores
 
 # shard term tables one engine keeps loaded; the cache resets past this
@@ -44,6 +45,12 @@ SHARD_CACHE_CAP = 64
 # doc_rows `where` for the rows that are not dead letters (status "failed",
 # no postings); a table without a status column has none
 NOT_FAILED = ~pc.field("status").isin(["failed"])
+# the DOCS_SCHEMA columns an engine keeps in memory (SearchEngine._doc_values)
+# and the only ones a doc_rows `where` may name: all but the per-doc text
+VALUE_COLUMNS = tuple(f.name for f in DOCS_SCHEMA
+                      if f.name not in ("text", "terms", "term_positions"))
+_NO_VALUES = pa.schema([DOCS_SCHEMA.field(c) for c in VALUE_COLUMNS]
+                       ).empty_table()
 
 
 def _select_topk(ids: np.ndarray, acc: np.ndarray, k: int,
@@ -307,6 +314,7 @@ class SearchEngine:
         )
         self._tokenizer = tokenizer  # built lazily (trie cost)
         self._typo = None  # (hashes, rows, terms, dfs), read once
+        self._values = None  # (doc-value table, its ids), read once
 
     # ------------- loading -------------
 
@@ -766,17 +774,12 @@ class SearchEngine:
 
     # ------------- doc rows -------------
 
-    def doc_rows(self, doc_ids: list[int] | None, columns: list[str],
-                 where=None) -> pa.Table:
-        """`columns` of this index's docs/ rows for `doc_ids` (None = every
-        doc), minus the ids a newer generation shadows, as one filtered
-        Parquet read with the pyarrow expression `where` pushed into it.
-        The one query-side reader of docs/. A column the table lacks reads
-        as null of its DOCS_SCHEMA type (simple_text writes only doc_id,
-        terms and token_count), so `where` sees null there."""
+    def _read_docs(self, doc_ids, columns: list[str], where=None) -> pa.Table:
+        """One filtered Parquet read of docs/ (`where` pushed into it), in
+        file order, minus the ids a newer generation shadows. A column the
+        table lacks reads as null of its DOCS_SCHEMA type (simple_text
+        writes only doc_id, terms and token_count)."""
         import pyarrow.dataset as pads
-
-        from ..stages.extract_tokenize import DOCS_SCHEMA
 
         dset = pads.dataset(os.path.join(self.index_dir, "docs"))
         lacks = [f for f in DOCS_SCHEMA if f.name not in dset.schema.names]
@@ -790,15 +793,65 @@ class SearchEngine:
         return dset.to_table(columns=columns, filter=reduce(
             operator.and_, flt) if flt else None)
 
-    def doc_values(self, doc_ids: list[int],
-                   columns: list[str]) -> list[np.ndarray]:
-        """Integer `columns` as int64 arrays aligned to `doc_ids`, from one
-        doc_rows read; 0 where a doc has no row or a null value (a pre-v5
-        table's title_tc: every occurrence then counts as content). A doc
-        with several rows takes its last one."""
-        t = self.doc_rows(doc_ids, ["doc_id", *columns])
-        row = {d: i for i, d in enumerate(t["doc_id"].to_pylist())}
-        idx = np.array([row.get(d, -1) for d in doc_ids], np.int64)
+    def _doc_values(self) -> tuple[pa.Table, np.ndarray]:
+        """(table, ids): every VALUE_COLUMNS row of docs/, stable-sorted by
+        doc_id (a doc's several rows keep their read order), and its doc ids
+        as uint64. Read once, on the first doc_rows call that needs no text
+        — never at open or warm(), so an engine that reads no doc rows
+        holds none."""
+        if self._values is None:
+            t = self._read_docs(None, list(VALUE_COLUMNS))
+            ids = t["doc_id"].to_numpy().astype(np.uint64)
+            order = np.argsort(ids, kind="stable")
+            self._values = (t.take(order).combine_chunks(), ids[order])
+        return self._values
+
+    def doc_rows(self, doc_ids, columns: list[str], where=None) -> pa.Table:
+        """`columns` of this index's docs rows for `doc_ids` (None = every
+        doc; unknown ids match nothing, a repeated id counts once), minus
+        the ids a newer generation shadows, keeping the rows the pyarrow
+        expression `where` passes: the one query-side reader of docs/.
+        Rows come back in doc-id order, across generations as within each;
+        a doc's several rows keep generation then file order.
+
+        Columns in VALUE_COLUMNS come from the in-memory doc-value table
+        (_doc_values): a searchsorted per id, then Table.filter. Any other
+        column (text, terms, term_positions) is one Parquet read. `where`
+        may name only VALUE_COLUMNS, as Meilisearch filters only its
+        filterable attributes; naming another raises ValueError. A column
+        the docs table lacks reads as null, so `where` sees null there."""
+        if where is not None:
+            try:
+                _NO_VALUES.filter(where)
+            except pa.ArrowInvalid as e:
+                raise ValueError(f"`where` names a column that is not "
+                                 f"filterable; filterable: "
+                                 f"{list(VALUE_COLUMNS)} ({e})") from e
+        if not set(columns) <= set(VALUE_COLUMNS):
+            t = self._read_docs(doc_ids, list(dict.fromkeys(
+                ["doc_id", *columns])), where)
+            ids = t["doc_id"].to_numpy().astype(np.uint64)
+            return t.take(np.argsort(ids, kind="stable")).select(columns)
+        t, ids = self._doc_values()
+        if doc_ids is not None:
+            q = np.unique(np.asarray(doc_ids, np.uint64))
+            lo = np.searchsorted(ids, q, "left")
+            t = t.take(_ragged(lo, np.searchsorted(ids, q, "right") - lo))
+        if where is not None:
+            t = t.filter(where)
+        return t.select(columns)
+
+    def doc_values(self, doc_ids, columns: list[str]) -> list[np.ndarray]:
+        """Integer `columns` as int64 arrays aligned to `doc_ids`, gathered
+        from the doc-value table; 0 where a doc has no row or a null value
+        (a pre-v5 table's title_tc: every occurrence then counts as
+        content). A doc with several rows takes its last one."""
+        t, ids = self._doc_values()
+        q = np.asarray(doc_ids, np.uint64)
+        hi = np.searchsorted(ids, q, "right")
+        found = hi > 0
+        found[found] = ids[hi[found] - 1] == q[found]
+        idx = np.where(found, hi - 1, -1)  # -1: the appended 0
         return [np.append(t[c].fill_null(0).to_numpy(), 0)[idx]
                 .astype(np.int64) for c in columns]
 

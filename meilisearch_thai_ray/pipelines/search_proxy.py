@@ -539,8 +539,14 @@ _RANK_KEYS = {
 }
 
 
-def _id_array(ids: set[int]) -> np.ndarray:
-    return np.fromiter(ids, np.uint64, len(ids))
+def _live_ids(ids, engine) -> np.ndarray:
+    """`ids` as a sorted unique uint64 array, minus the engine's deleted
+    docs."""
+    ids = np.unique(np.asarray(ids, np.uint64))
+    dead = engine._dead_arr
+    if dead is None:
+        return ids
+    return np.setdiff1d(ids, dead, assume_unique=True)
 
 
 def _attrs_on(options: SearchOptions | None) -> set[str] | None:
@@ -560,11 +566,14 @@ class SearchProxy:
     ranking score).
 
     Every doc text and field is read through engine.doc_rows, which
-    composes an index's generations. docs_path switches on the features
-    that read them (exact-match boost, clustering, highlights, match
-    positions, filters, sort and distinct over fields, placeholder search,
-    title boundaries); it must name the engine's own docs table, and the
-    proxy never opens it."""
+    composes an index's generations: fields (filters, sort, distinct,
+    title boundaries, the placeholder's doc-id universe) come from the
+    engine's in-memory doc values, texts from one Parquet read of the ids
+    not in the proxy's doc cache. docs_path switches on the features that
+    read them (exact-match boost, clustering, highlights, match positions,
+    filters, sort and distinct over fields, placeholder search, title
+    boundaries); it must name the engine's own docs table, and the proxy
+    never opens it."""
 
     def __init__(self, engine, docs_path: str | None = None,
                  config: EngineConfig | None = None,
@@ -648,51 +657,53 @@ class SearchProxy:
         return rec.cluster
 
     def negative_doc_ids(self, words: list[str],
-                         phrases: list[str]) -> set[int]:
-        """Doc ids containing ANY negative keyword / phrase.
+                         phrases: list[str]) -> np.ndarray:
+        """Doc ids containing ANY negative keyword / phrase, as a sorted
+        unique uint64 array.
 
         A negative word that tokenizes to one index term is a plain posting
         read (every doc in its posting list); multi-token words and quoted
         phrases use phrase_ids. At serving scale this is a per-shard
         posting traversal — the same cost class as one extra query term."""
-        excl: set[int] = set()
+        excl = np.empty(0, np.uint64)
         for w in words:
             seq = self.engine.phrase_seq(w)
             if len(seq) == 1:
-                excl.update(self.engine.word_docs(seq).tolist())
+                excl = np.union1d(excl, self.engine.word_docs(seq))
             elif seq:
-                excl |= self.phrase_ids(w)
+                excl = np.union1d(excl, self.phrase_ids(w))
         for p in phrases:
-            excl |= self.phrase_ids(p)
+            excl = np.union1d(excl, self.phrase_ids(p))
         return excl
 
-    def phrase_ids(self, phrase: str) -> set[int]:
-        """Live doc ids holding the quoted phrase, unscored: what a phrase
-        restriction keeps or drops. On a positional index, the engine's
-        adjacency docs (a one-term phrase's posting docs); otherwise the
-        substring-verify hits of search_phrase."""
+    def phrase_ids(self, phrase: str) -> np.ndarray:
+        """Live doc ids holding the quoted phrase, unscored, as a sorted
+        unique uint64 array: what a phrase restriction keeps or drops. On a
+        positional index, the engine's adjacency docs (a one-term phrase's
+        posting docs); otherwise the substring-verify hits of
+        search_phrase."""
         if not self.engine.has_positions:
-            return {d for d, _ in self.search_phrase(phrase, k=1 << 62)}
+            return _live_ids([d for d, _ in self.search_phrase(
+                phrase, k=1 << 62)], self.engine)
         seq, docs = self.engine.phrase_docs(
             _re_mod.sub(r"\s+", " ", phrase).strip())
         if len(seq) == 1:
-            return set(self.engine.word_docs(seq).tolist())
-        return set(docs) - self.engine._dead
+            return self.engine.word_docs(seq)
+        return _live_ids(docs, self.engine)
 
-    def _placeholder_search(self, excluded: set[int], k: int,
+    def _placeholder_search(self, excluded: np.ndarray, k: int,
                             offset: int) -> list[dict]:
         """Meilisearch placeholder search (empty q): the live documents in
-        internal (doc_id) order. Used when a query is ONLY negative
-        keywords; needs docs_path (the doc-id universe lives in the docs
-        table). Dead-letter rows (status "failed", no postings) and the
-        engine's deleted docs are not live; a table without a status column
-        has no dead-letter rows."""
+        internal (doc_id) order, minus the sorted `excluded` ids. Used when
+        a query is ONLY negative keywords; needs docs_path (the doc-id
+        universe lives in the docs table). Dead-letter rows (status
+        "failed", no postings) and the engine's deleted docs are not live;
+        a table without a status column has no dead-letter rows."""
         if not self.docs_path:
             return []
-        ids = self.engine.doc_rows(None, ["doc_id"], where=NOT_FAILED)[
-            "doc_id"].to_numpy().astype(np.uint64)
-        ids = np.sort(ids[~np.isin(ids, _id_array(
-            excluded | self.engine._dead))])
+        ids = self.engine.doc_rows(None, ["doc_id"], where=NOT_FAILED)
+        ids = np.setdiff1d(_live_ids(ids["doc_id"].to_numpy(), self.engine),
+                           excluded, assume_unique=True)
         return [
             {"doc_id": d, "score": 0.0, "raw_score": 0.0,
              "variant_type": "placeholder", "engine": "none",
@@ -1004,7 +1015,7 @@ class SearchProxy:
         if options is not None:
             k = options.limit
         offset = options.offset if options else 0
-        neg_excluded: set[int] | None = None
+        neg_excluded: np.ndarray | None = None
         if "-" in query:
             positive, neg_w, neg_p = split_negative_terms(query)
             if neg_w or neg_p:
@@ -1012,7 +1023,7 @@ class SearchProxy:
                 query = positive
                 if not query:
                     return self._placeholder_search(neg_excluded, k, offset)
-        phrase_allowed: set[int] | None = None
+        phrase_allowed: np.ndarray | None = None
         if '"' in query:
             # Meilisearch phrase syntax: every quoted phrase must occur as
             # consecutive tokens; its words still match and score normally
@@ -1021,9 +1032,10 @@ class SearchProxy:
                 query = stripped
                 for p in pos_phrases:
                     s = self.phrase_ids(p)
-                    phrase_allowed = (s if phrase_allowed is None
-                                      else phrase_allowed & s)
-                    if not phrase_allowed:
+                    phrase_allowed = (s if phrase_allowed is None else
+                                      np.intersect1d(phrase_allowed, s,
+                                                     assume_unique=True))
+                    if not phrase_allowed.size:
                         return []
         if prepared is None or query != raw:
             prepared = self._prepare(
@@ -1201,30 +1213,30 @@ class SearchProxy:
 
     def _restrict(self, ranked: _Batch, query: str,
                   options: SearchOptions | None,
-                  neg_excluded: set[int] | None,
-                  phrase_allowed: set[int] | None) -> np.ndarray:
+                  neg_excluded: np.ndarray | None,
+                  phrase_allowed: np.ndarray | None) -> np.ndarray:
         """One mask over the ranked rows: the score threshold, the filter's
         allowed ids, no negative-term id, every quoted phrase, and
-        attributesToSearchOn."""
+        attributesToSearchOn.  Each id restriction is a sorted uint64 array
+        and one np.isin."""
         ids = ranked.doc_id
         min_score = MIN_SCORE_THRESHOLD
         if options and options.ranking_score_threshold is not None:
             min_score = max(min_score, options.ranking_score_threshold)
         keep = ranked.score >= min_score
         if options and options.filters:
-            keep &= np.isin(ids, _id_array(self._filter_allowed(
-                ids.tolist(), options.filters)))
+            keep &= np.isin(ids, self._filter_allowed(ids, options.filters))
         if neg_excluded is not None:
-            keep &= ~np.isin(ids, _id_array(neg_excluded))
+            keep &= ~np.isin(ids, neg_excluded)
         if phrase_allowed is not None:
-            keep &= np.isin(ids, _id_array(phrase_allowed))
+            keep &= np.isin(ids, phrase_allowed)
         attrs_on = _attrs_on(options)
         if attrs_on is not None and ids.size:
             # one title_tc read and one position gather for the whole
             # candidate set: a hit survives iff some direct query term
             # occurs inside an allowed field (title = positions before the
             # doc's title_tc boundary, content = at or after it)
-            boundary = self.engine.doc_values(ids.tolist(), ["title_tc"])[0]
+            boundary = self.engine.doc_values(ids, ["title_tc"])[0]
             ok = np.zeros(ids.size, dtype=bool)
             for counts, flat in self.engine.doc_term_positions(
                     ids, self.engine.phrase_seq(query)).values():
@@ -1510,20 +1522,19 @@ class SearchProxy:
             hits = present + [h for h in hits if val(h) is None]
         return hits
 
-    def _filter_allowed(self, doc_ids: list[int],
-                        dsl: "dict | str") -> set[int]:
+    def _filter_allowed(self, doc_ids: np.ndarray,
+                        dsl: "dict | str") -> np.ndarray:
         """Per-request metadata filter (reference SearchOptions.filters):
-        evaluate the filter — a dict-DSL object OR a Meilisearch filter
-        STRING (kernel/filter_lang.py grammar) — pushed into one
-        engine.doc_rows read of the candidate ids (never a corpus scan)."""
-        if not doc_ids:
-            return set()
+        the candidate ids that pass the filter — a dict-DSL object OR a
+        Meilisearch filter STRING (kernel/filter_lang.py grammar) — as a
+        sorted unique uint64 array, from one engine.doc_rows read over the
+        engine's in-memory doc values (never a corpus scan)."""
         from ..stages.filter_dsl import compile_filter, compile_filter_str
 
         where = (compile_filter_str(dsl) if isinstance(dsl, str)
                  else compile_filter(dsl))
         t = self.engine.doc_rows(doc_ids, ["doc_id"], where=where)
-        return set(t["doc_id"].to_pylist())
+        return np.unique(t["doc_id"].to_numpy().astype(np.uint64))
 
     def _highlight_snippet(self, text: str, terms: list[str],
                            crop_length: int, crop_marker: str) -> str:

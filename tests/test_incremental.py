@@ -611,3 +611,227 @@ def test_docs_table_without_optional_columns(gens, tmp_path):
         d = h["_rankingScoreDetails"]
         assert d["attribute"]["contentOnlyMatches"] == \
             d["words"]["matchedWords"]
+
+
+# ------------------------------------------------------------------
+# doc values in memory: the same rows as the Parquet read
+
+def _parquet_rows(eng, doc_ids, columns, where=None):
+    """The reference reader: one filtered Parquet read of each
+    generation's docs/, base first, minus its shadowed ids; a column the
+    table lacks reads as null of its DOCS_SCHEMA type."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    from meilisearch_thai_ray.stages.extract_tokenize import DOCS_SCHEMA
+
+    parts = []
+    for e in [eng, *getattr(eng, "_gen_engines", [])]:
+        dset = pads.dataset(os.path.join(e.index_dir, "docs"))
+        dset = dset.replace_schema(pa.schema([*dset.schema, *(
+            f for f in DOCS_SCHEMA if f.name not in dset.schema.names)]))
+        flt = pc.field("doc_id").is_valid()
+        if where is not None:
+            flt &= where
+        if doc_ids is not None:
+            flt &= pc.field("doc_id").isin(doc_ids)
+        if e._shadow is not None:
+            flt &= ~pc.field("doc_id").isin(e._shadow.astype(np.int64))
+        parts.append(dset.to_table(columns=columns, filter=flt))
+    return pa.concat_tables(parts)
+
+
+def _rows(t):
+    """A table's rows as a multiset."""
+    from collections import Counter
+
+    return Counter(tuple(r.values()) for r in t.to_pylist())
+
+
+def _slim_copy(src, out):
+    """A copy of index `src` whose docs table holds only doc_id, terms and
+    token_count (the simple_text layout)."""
+    import shutil
+
+    import pyarrow.dataset as pads
+
+    shutil.copytree(src, out)
+    docs = pads.dataset(os.path.join(out, "docs")).to_table(
+        columns=["doc_id", "terms", "token_count"])
+    shutil.rmtree(os.path.join(out, "docs"))
+    os.makedirs(os.path.join(out, "docs"))
+    pq.write_table(docs, os.path.join(out, "docs", "docs.parquet"))
+    return out
+
+
+_DOC_ENGINES = {
+    "compacted": lambda base, cmp, tmp: SearchEngine(cmp),
+    "shadowed": lambda base, cmp, tmp: SearchEngine(base, shadow=sorted(_ids(
+        "https://gen.ex/0", "https://gen.ex/2", "https://gen.ex/4"))),
+    "generational": lambda base, cmp, tmp: GenerationalEngine(base),
+    "slim": lambda base, cmp, tmp: SearchEngine(_slim_copy(cmp, tmp)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DOC_ENGINES))
+def test_doc_rows_memory_equals_parquet(gens, tmp_path, name):
+    """doc_rows over the in-memory doc values returns the rows of the
+    Parquet read, as a multiset, in doc-id order, for every id list and
+    `where` form; the table is built on the first such read, not at open
+    or warm()."""
+    from meilisearch_thai_ray.index.search import NOT_FAILED, VALUE_COLUMNS
+    from meilisearch_thai_ray.stages.filter_dsl import (
+        compile_filter,
+        compile_filter_str,
+    )
+
+    eng = _DOC_ENGINES[name](*gens, str(tmp_path / "slim"))
+    eng.warm()
+    assert eng._values is None
+    known = sorted(_ids("https://gen.ex/0", "https://gen.ex/1",
+                        "https://gen.ex/new0", "https://gen.ex/new1",
+                        "https://gen.ex/bad0", "https://gen.ex/bad-base"))
+    id_lists = {"all": None, "none": [],
+                "mixed": known + known[:2] + [12345, 1 << 40]}
+    wheres = {"none": None, "not_failed": NOT_FAILED,
+              "dict": compile_filter({"lang": {"$in": ["th"]},
+                                      "token_count": {"$gt": 3}}),
+              "string": compile_filter_str("lang = en OR title_tc > 0")}
+    for cols in (["doc_id"], list(VALUE_COLUMNS), ["lang", "doc_id"]):
+        for il, doc_ids in id_lists.items():
+            for wn, where in wheres.items():
+                got = eng.doc_rows(doc_ids, cols, where=where)
+                ref = _parquet_rows(eng, doc_ids, cols, where)
+                assert got.schema == ref.schema, (cols, il, wn)
+                assert _rows(got) == _rows(ref), (cols, il, wn)
+                ids = got["doc_id"].to_pylist()
+                assert ids == sorted(ids), (cols, il, wn)
+    assert eng._values is not None
+    # only the engine a proxy reads holds a table, not its generations
+    assert all(e._values is None for e in getattr(eng, "_gen_engines", []))
+    # a text column is the Parquet read, in the same order
+    got = eng.doc_rows(known, ["doc_id", "text"])
+    assert _rows(got) == _rows(_parquet_rows(eng, known, ["doc_id", "text"]))
+    assert got["doc_id"].to_pylist() == sorted(got["doc_id"].to_pylist())
+
+
+def test_doc_rows_where_names_only_value_columns(gens):
+    """A `where` naming a column outside the doc values raises ValueError
+    naming the filterable columns, whatever the columns asked for."""
+    import pyarrow.compute as pc
+
+    from meilisearch_thai_ray.index.search import VALUE_COLUMNS
+
+    eng = SearchEngine(gens[1])
+    for cols in (["doc_id"], ["doc_id", "text"]):
+        with pytest.raises(ValueError, match="filterable") as e:
+            eng.doc_rows(None, cols, where=pc.field("text") == "miso")
+        assert all(c in str(e.value) for c in VALUE_COLUMNS)
+
+
+def test_doc_values_last_row_wins(gens, tmp_path):
+    """doc_values takes a duplicated id's last row, 0 for an unknown id;
+    doc_rows keeps both rows in file order."""
+    import shutil
+
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    out = str(tmp_path / "dup")
+    shutil.copytree(gens[1], out)
+    docs = pads.dataset(os.path.join(out, "docs")).to_table()
+    d = sorted(_ids("https://gen.ex/0"))[0]
+    row = docs.filter(pc.equal(docs["doc_id"], d))
+    again = row.set_column(row.schema.get_field_index("title_tc"), "title_tc",
+                           pa.array([77], pa.int32()))
+    shutil.rmtree(os.path.join(out, "docs"))
+    os.makedirs(os.path.join(out, "docs"))
+    pq.write_table(pa.concat_tables([docs, again]),
+                   os.path.join(out, "docs", "docs.parquet"))
+    eng = SearchEngine(out)
+    first = row["title_tc"][0].as_py()
+    assert first != 77
+    boundary, dl = eng.doc_values([12345, d, d], ["title_tc", "token_count"])
+    assert boundary.tolist() == [0, 77, 77]
+    assert dl.tolist() == [0, *row["token_count"].to_pylist() * 2]
+    assert eng.doc_rows([d], ["title_tc"])["title_tc"].to_pylist() == \
+        [first, 77]
+
+
+def test_proxy_requests_open_no_dataset(gens, monkeypatch):
+    """After one warm request, filter, rules, sort, distinct, field-scoped
+    and placeholder requests answer from memory: no docs dataset opens."""
+    import pyarrow.dataset as pads
+
+    from meilisearch_thai_ray.pipelines.search_proxy import (
+        SearchOptions,
+        SearchProxy,
+    )
+
+    base, cmp = gens
+    requests = [
+        ("wakame", {"filters": {"lang": "th"}}),
+        ("wakame", {"filters": "lang = en AND token_count > 3"}),
+        ("wakame", {"ranking_rules": True}),
+        ("wakame", {"sort": ["token_count:desc"]}),
+        ("wakame", {"distinct": "lang"}),
+        ("wakame", {"attributes_to_search_on": ["title"]}),
+        ("-ramen", {"limit": 100}),
+    ]
+    for eng in (GenerationalEngine(base), SearchEngine(cmp)):
+        proxy = SearchProxy(eng, docs_path=os.path.join(eng.index_dir,
+                                                        "docs"))
+        q, kw = requests[0]
+        proxy.search(q, options=SearchOptions(**kw))
+        opened = []
+        real = pads.dataset
+        monkeypatch.setattr(pads, "dataset",
+                            lambda *a, **k: opened.append(a) or real(*a, **k))
+        for q, kw in requests * 2:
+            assert proxy.search(q, options=SearchOptions(**kw)) is not None
+        monkeypatch.setattr(pads, "dataset", real)
+        assert opened == [], eng.index_dir
+
+
+# ------------------------------------------------------------------
+# index_stats over generations
+
+@pytest.fixture(scope="module")
+def restat(ray_session, tmp_path_factory):
+    """A base of 8 pages and one unreadable page, plus a delta that
+    re-versions 3 base pages and adds 1, and its compact()."""
+    import random
+
+    from meilisearch_thai_ray.index.incremental import compact
+
+    root = tmp_path_factory.mktemp("restat")
+    rng = random.Random(3)
+    base_rows = [(f"https://st.ex/{i}", _words(rng, 2) if i % 2 else "",
+                  _words(rng, 12), "en" if i % 3 else "th")
+                 for i in range(8)] + [("https://st.ex/bad", "", None, "en")]
+    delta = [(f"https://st.ex/{i}", "revised", "revised " + _words(rng, 9),
+              "th") for i in range(3)] + [
+        ("https://st.ex/new", "fresh", "fresh " + _words(rng, 9), "en")]
+    _gen_pages(str(root / "pages"), base_rows)
+    _gen_pages(str(root / "delta"), delta)
+    base = str(root / "base")
+    build_index(str(root / "pages"), base, CFG, num_salts=2, batch_size=64)
+    add_documents(base, str(root / "delta"))
+    cmp = str(root / "cmp")
+    compact(base, cmp)
+    return base, cmp
+
+
+def test_index_stats_over_generations_equals_compacted(restat):
+    """index_stats reads every completed generation and counts a
+    re-versioned doc once: it equals index_stats of the compacted index."""
+    from meilisearch_thai_ray.index.maintenance import index_stats
+
+    base, cmp = restat
+    got, want = index_stats(base), index_stats(cmp)
+    assert got["numberOfDocuments"] == want["numberOfDocuments"] == 9
+    assert got["fieldDistribution"] == want["fieldDistribution"]
+    assert got["rawDocumentRows"] == want["rawDocumentRows"] == 10
+    assert got["fieldDistribution"]["title"] == 7
+    assert got["isIndexing"] is False
