@@ -147,36 +147,44 @@ def match_topk(engine, words: list[list[str]], k: int, strategy: str,
     return out[:k]
 
 
-def _min_window_cost(plists: list[np.ndarray]) -> int:
-    """Minimal token window covering one position from EVERY list, minus
-    the list count (0 = an adjacent packing exists; fewer than two lists
-    cost 0): sorted merge of (position, list_id) + the classic two-pointer
-    covering-window scan."""
-    nt = len(plists)
-    if nt < 2:
-        return 0
-    allpos = np.concatenate(plists)
-    tids = np.concatenate(
-        [np.full(p.size, ti, np.int64) for ti, p in enumerate(plists)])
-    order = np.argsort(allpos, kind="stable")
-    allpos, tids = allpos[order], tids[order]
-    need = nt
-    count = np.zeros(nt, np.int64)
-    best = np.iinfo(np.int64).max
-    lo = 0
-    for hi in range(allpos.size):
-        if count[tids[hi]] == 0:
-            need -= 1
-        count[tids[hi]] += 1
-        while need == 0:
-            span = allpos[hi] - allpos[lo] + 1
-            if span < best:
-                best = int(span)
-            count[tids[lo]] -= 1
-            if count[tids[lo]] == 0:
-                need += 1
-            lo += 1
-    return best - nt
+def min_window_costs(parts: list[tuple[np.ndarray, np.ndarray]],
+                     n: int) -> np.ndarray:
+    """int64[n] proximity costs over doc_term_positions CSR pairs (counts,
+    flat), one per term, over the same `n` rows: the minimal token window
+    covering one occurrence of every term the row holds, minus the number
+    it holds (0 = an adjacent packing; terms sharing a position go below
+    0); 0 for rows holding fewer than two.
+
+    One pass over every occurrence in (row, position) order: the window
+    ending at a point starts at the smallest of the held terms' last-seen
+    positions (np.maximum.accumulate of occurrence indexes, void before
+    the row's start). O(terms x occurrences), no per-row Python."""
+    cost = np.zeros(n, np.int64)
+    held = sum((c > 0 for c, _ in parts), np.zeros(n, np.int64))
+    if not (held >= 2).any():
+        return cost
+    per_row = sum(c for c, _ in parts)
+    pos = np.concatenate([f for _, f in parts])
+    term = np.repeat(np.arange(len(parts)), [f.size for _, f in parts])
+    order = np.lexsort((pos, np.concatenate(
+        [np.repeat(np.arange(n), c) for c, _ in parts])))
+    pos, term = pos[order], term[order]
+    row_start = np.cumsum(per_row) - per_row
+    first = np.repeat(row_start, per_row)  # each point's row start
+    idx = np.arange(pos.size)
+    start = pos.copy()  # smallest last-seen position over held terms
+    complete = np.ones(pos.size, bool)  # every held term seen yet
+    for t, (c, _) in enumerate(parts):
+        last = np.maximum.accumulate(np.where(term == t, idx, -1))
+        seen = last >= first
+        complete &= seen | (np.repeat(c, per_row) == 0)
+        start = np.where(seen, np.minimum(start, pos[last]), start)
+    window = np.where(complete, pos - start + 1, np.iinfo(np.int64).max)
+    rows = np.flatnonzero(per_row)
+    best = np.minimum.reduceat(window, row_start[rows])
+    multi = held[rows] >= 2
+    cost[rows[multi]] = best[multi] - held[rows[multi]]
+    return cost
 
 
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -185,13 +193,6 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     return (np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
             + np.repeat(starts - (ends - counts), counts))
-
-
-def per_doc(gathered: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
-    """One term's doc_term_positions CSR (counts, flat) as one ascending
-    position array per doc row (empty where the doc lacks the term)."""
-    counts, flat = gathered
-    return np.split(flat, np.cumsum(counts)[:-1])
 
 
 def phrase_rows(gathered: dict[str, tuple[np.ndarray, np.ndarray]],
@@ -673,7 +674,9 @@ class SearchEngine:
             out[t] = (counts, flat)
         return out
 
-    def phrase_topk(self, phrase: str, k: int = 10) -> list[tuple[int, float]]:
+    def phrase_topk(self, phrase: str, k: int = 10,
+                    dfs: dict[str, int] | None = None
+                    ) -> list[tuple[int, float]]:
         """True token-adjacency phrase search over the positional index
         (Meilisearch-style quoted-phrase semantics): docs where the phrase's
         primary terms occur at CONSECUTIVE token positions, BM25-ranked.
@@ -681,11 +684,11 @@ class SearchEngine:
         Needs store_positions=True at build time. Cost: one posting
         intersection (the AND set) + one position gather over its docs —
         no document text is touched, unlike the substring-verify fallback
-        in the proxy."""
+        in the proxy. dfs: as in score_topk."""
         seq, docs = self.phrase_docs(phrase)
         if len(seq) == 1:
-            return self.score_topk(seq, k=k, match="all")
-        return self.score_docs_topk(seq, docs, k)
+            return self.score_topk(seq, k=k, match="all", dfs=dfs)
+        return self.score_docs_topk(seq, docs, k, dfs=dfs) if docs else []
 
     def phrase_docs(self, phrase: str) -> tuple[list[str], list[int]]:
         """(primary term sequence, docs of this engine where it occurs at
@@ -717,8 +720,8 @@ class SearchEngine:
         """Docs (within this engine's possibly salt-restricted partition)
         where `seq` occurs at consecutive token positions, sorted:
         posting-AND intersection, then one position gather over the
-        candidates checked by phrase_rows. No scoring — the building block
-        doc-partitioned serving fans out."""
+        candidates checked by phrase_rows. No scoring: phrase_topk scores
+        these docs, and the proxy's phrase restriction keeps them."""
         uniq_terms = sorted(set(seq))
         doc_sets = []
         for t in uniq_terms:
@@ -748,11 +751,11 @@ class SearchEngine:
         ties break by BM25 desc, doc_id asc.
 
         Cost: one posting intersection (score_topk pool), one position
-        gather over the pool, then a per-candidate sorted-merge sliding
-        window — document text is never read. Needs store_positions=True
-        (ranking_rules 'proximity' in Meilisearch is index-default; the
-        reference delegates it to Meilisearch wholesale). dfs: as in
-        score_topk."""
+        gather over the pool, then min_window_costs over every candidate
+        in one vectorized pass — document text is never read. Needs
+        store_positions=True (ranking_rules 'proximity' in Meilisearch is
+        index-default; the reference delegates it to Meilisearch
+        wholesale). dfs: as in score_topk."""
         if not self.has_positions:
             raise ValueError(
                 "index was built without store_positions=True; proximity "
@@ -765,10 +768,8 @@ class SearchEngine:
         if len(uniq) == 1:
             return [(d, 0, s) for d, s in cand[:k]]
         gathered = self.doc_term_positions([d for d, _ in cand], uniq)
-        lists = [per_doc(gathered[t]) for t in uniq]
-        # every candidate holds every term (match="all")
-        out = [(d, _min_window_cost([pl[i] for pl in lists]), score)
-               for i, (d, score) in enumerate(cand)]
+        costs = min_window_costs(list(gathered.values()), len(cand)).tolist()
+        out = [(d, c, score) for (d, score), c in zip(cand, costs)]
         out.sort(key=lambda x: (x[1], -x[2], x[0]))
         return out[:k]
 

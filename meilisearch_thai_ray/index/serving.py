@@ -29,9 +29,9 @@ class DocPartitionServer(SearchEngine):
     """A SearchEngine over one group of SALT partitions (salt = doc_id %
     num_salts, so a salt group is a complete doc partition: every term's
     postings for those docs live in this actor). The service calls the
-    engine's own methods on it — local_dfs, then score_topk, phrase_docs,
-    score_docs_topk or proximity_topk with corpus-wide dfs= — and each
-    returns ONLY this partition's top-k."""
+    engine's own methods on it — local_dfs, then one of score_topk,
+    phrase_topk or proximity_topk with corpus-wide dfs= — and each returns
+    ONLY this partition's top-k."""
 
     def ping(self) -> bool:
         return True
@@ -51,13 +51,15 @@ class DocPartitionedSearchService:
 
     Query flow: (1) fan out local_dfs for uncached terms and sum them into
     corpus-wide dfs (BM25 idf must see corpus-wide df, a salt-local df is
-    partial); (2) fan out the engine scorer with dfs= — each actor scores
-    its complete doc partition exactly, drops its tombstoned docs and
-    returns its local top-k; (3) driver merges num_servers × k rows. Exact:
-    doc partitions are disjoint and each actor holds ALL terms for its
-    docs, so every doc's full score is computed in exactly one place with
-    the same sorted-term float order as the local engine (equality
-    asserted in tests)."""
+    partial), where a phrase or proximity request with a term of df 0
+    answers []; (2) fan out one engine scorer call with dfs= — each actor
+    scores its complete doc partition exactly, drops its tombstoned docs
+    and returns its local top-k; (3) driver merges num_servers × k rows.
+    Exact: doc partitions are disjoint and each actor holds ALL terms for
+    its docs, so every doc's full score is computed in exactly one place
+    with the same sorted-term float order as the local engine (equality
+    asserted in tests). `engine`, a driver-side SearchEngine that never
+    loads a segment, answers has_positions and phrase_seq."""
 
     def __init__(self, index_dir: str, num_servers: int = 4,
                  num_replicas: int = 1):
@@ -71,12 +73,9 @@ class DocPartitionedSearchService:
         same partition, so results are bit-identical regardless of
         placement (the df cache is shared and global)."""
         import itertools
-        import json
-        import os
 
-        with open(os.path.join(index_dir, "meta.json")) as f:
-            self.meta = json.load(f)
-        num_salts = max(1, int(self.meta.get("num_salts", 1)))
+        self.engine = SearchEngine(index_dir)
+        num_salts = max(1, int(self.engine.meta.get("num_salts", 1)))
         num_servers = max(1, min(num_servers, num_salts))
         groups: list[list[int]] = [[] for _ in range(num_servers)]
         for s in range(num_salts):
@@ -129,21 +128,22 @@ class DocPartitionedSearchService:
         ), k, _by_score)
 
     def phrase_topk(self, phrase: str, k: int = 10) -> list[tuple[int, float]]:
-        """Distributed quoted-phrase search: each doc partition verifies
-        its own docs' token adjacency locally (positions never leave the
-        actor) and scores its matches with the corpus-wide dfs; the driver
-        merges the local top-k lists — bit-identical to the local engine's
-        phrase_topk."""
-        replica = self._replica()
-        infos = ray.get([s.phrase_docs.remote(phrase) for s in replica])
-        seq = infos[0][0]  # every server tokenizes with the build's config
-        if len(seq) < 2:
+        """Distributed quoted-phrase search: the gateway tokenizes the
+        phrase and sums its dfs; each doc partition verifies its own docs'
+        token adjacency locally (positions never leave the actor) and
+        scores its matches with those dfs in one phrase_topk call; the
+        driver merges the local top-k lists — bit-identical to the local
+        engine's phrase_topk."""
+        if not self.engine.has_positions:
+            raise ValueError("index was built without store_positions=True")
+        seq = self.engine.phrase_seq(phrase)
+        if len(seq) == 1:
             return self.score_topk(seq, k=k)
         dfs = self._dfs(seq)
-        return _merge(ray.get([
-            s.score_docs_topk.remote(seq, docs, k, dfs=dfs)
-            for (_seq, docs), s in zip(infos, replica) if docs
-        ]), k, _by_score)
+        if not seq or len(dfs) < len(set(seq)):
+            return []  # a term no doc holds: no doc holds the phrase
+        return _merge(ray.get([s.phrase_topk.remote(phrase, k, dfs=dfs)
+                               for s in self._replica()]), k, _by_score)
 
     def proximity_topk(self, terms: list[str], k: int = 10,
                        pool: int | None = None
@@ -154,7 +154,11 @@ class DocPartitionedSearchService:
         `pool` covering the full AND set this equals the local engine's
         proximity_topk; at smaller pools each PARTITION's pool is local,
         so recall is >= the single-node heuristic's."""
+        if not self.engine.has_positions:
+            raise ValueError("index was built without store_positions=True")
         dfs = self._dfs(terms)
+        if not terms or len(dfs) < len(set(terms)):
+            return []  # a term no doc holds: no doc matches them all
         return _merge(ray.get([
             s.proximity_topk.remote(terms, k, pool, dfs=dfs)
             for s in self._replica()

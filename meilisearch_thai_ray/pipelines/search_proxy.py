@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..config import EngineConfig
-from ..index.search import (NOT_FAILED, _min_window_cost, match_topk,
-                            per_doc, phrase_rows)
+from ..index.search import (NOT_FAILED, match_topk, min_window_costs,
+                            phrase_rows)
 from ..kernel.charclass import is_thai_text
 
 ORIGINAL = "original"
@@ -1319,14 +1319,13 @@ class SearchProxy:
         else:
             # Meilisearch rules chain: words (matched-term count) then
             # proximity (min covering window), proxy ranking as tie-break
-            gathered = self.engine.doc_term_positions(
-                [h["doc_id"] for h in out], self._query_terms(query))
-            lists = [per_doc(g) for g in gathered.values()]
-            keys = []
-            for i in range(len(out)):
-                held = [pl[i] for pl in lists if pl[i].size]
-                keys.append((-len(held), _min_window_cost(held), i))
-            out = [out[key[2]] for key in sorted(keys)]
+            parts = list(self.engine.doc_term_positions(
+                [h["doc_id"] for h in out], self._query_terms(query)).values())
+            held = sum((c > 0 for c, _ in parts),
+                       np.zeros(len(out), np.int64))
+            # stable: the incoming order breaks (words, proximity) ties
+            out = [out[i] for i in np.lexsort(
+                (min_window_costs(parts, len(out)), -held))]
         return out[offset:offset + k]
 
     def _hydrate(self, query: str, out: list[dict],
@@ -1436,59 +1435,62 @@ class SearchProxy:
         if not uniq or not hits:
             return hits
         ids = [h["doc_id"] for h in hits]
-        boundaries = (eng.doc_values(ids, ["title_tc"])[0] if self.docs_path
-                      else np.zeros(len(ids), np.int64)).tolist()
+        n = len(ids)
+        boundary = (eng.doc_values(ids, ["title_tc"])[0] if self.docs_path
+                    else np.zeros(n, np.int64))
         gathered = eng.doc_term_positions(ids, uniq)
-        exact_rows = phrase_rows(gathered, seq, len(ids))
-        lists = {t: per_doc(g) for t, g in gathered.items()}
+        exact_rows = phrase_rows(gathered, seq, n)
         # (derivation, typo count) per word some hit lacks
         lacking = [t for t in uniq if not gathered[t][0].all()]
         derivs = {t: [(x, effective_typos(t, x)) for x in ds]
                   for t, ds in self._typo_derivations(
                       lacking, options, typo_memo).items()}
-        lists.update((x, per_doc(g)) for x, g in eng.doc_term_positions(
-            ids, [x for c in derivs.values() for x, _ in c]).items())
-        keyed = []
-        for i, h in enumerate(hits):
-            boundary = boundaries[i]
-            words = typo = attr = 0
-            direct: list[np.ndarray] = []
-            for t in uniq:
-                pos = lists[t][i]
-                if pos.size:
-                    words += 1
-                    direct.append(pos)
-                    attr += 0 if pos[0] < boundary else 1
-                    continue
-                best = None
-                best_min = 0
-                for x, nt in derivs.get(t, ()):
-                    px = lists[x][i]
-                    if px.size and (best is None or nt < best):
-                        best, best_min = nt, int(px[0])
-                if best is not None:
-                    words += 1
-                    typo += best
-                    attr += 0 if best_min < boundary else 1
-            pcost = _min_window_cost(direct)
-            exact = 2
-            if len(direct) == len(uniq):
-                exact = 0 if exact_rows[i] else 1
-            if want_details:
-                # Meilisearch showRankingScoreDetails: the chain's per-rule
-                # bucket values, in rule order (these ARE the sort key)
+        gathered.update(eng.doc_term_positions(
+            ids, [x for c in derivs.values() for x, _ in c]))
+
+        def first(x: str) -> tuple[np.ndarray, np.ndarray]:
+            """(rows holding x, each row's first position of x or 0)."""
+            counts, flat = gathered[x]
+            has = counts > 0
+            pos = np.zeros(n, np.int64)
+            pos[has] = flat[(np.cumsum(counts) - counts)[has]]
+            return has, pos
+
+        words, typo, attr, direct = (np.zeros(n, np.int64) for _ in range(4))
+        for t in uniq:
+            has, pos = first(t)
+            direct += has
+            words += has
+            attr += has & (pos >= boundary)
+            # a row lacking t counts its fewest-typo derivation, the first
+            # listed on a tie (sorted is stable)
+            for x, nt in sorted(derivs.get(t, ()), key=lambda d: d[1]):
+                hx, px = first(x)
+                take = hx & ~has
+                has = has | hx
+                words += take
+                typo += nt * take
+                attr += take & (px >= boundary)
+        pcost = min_window_costs([gathered[t] for t in uniq], n)
+        exact = np.where(direct == len(uniq), np.where(exact_rows, 0, 1), 2)
+        # stable: the incoming (proxy-boosted) order breaks every tie
+        order = np.lexsort((exact, attr, pcost, typo, -words))
+        if want_details:
+            # Meilisearch showRankingScoreDetails: the chain's per-rule
+            # bucket values, in rule order (these ARE the sort key)
+            for h, w, ty, prox, at, ex in zip(
+                    hits, words.tolist(), typo.tolist(), pcost.tolist(),
+                    attr.tolist(), exact.tolist()):
                 h["_rankingScoreDetails"] = {
-                    "words": {"matchedWords": words,
+                    "words": {"matchedWords": w,
                               "maxMatchedWords": len(uniq)},
-                    "typo": {"typoCount": typo},
-                    "proximity": {"windowCost": pcost},
-                    "attribute": {"contentOnlyMatches": attr},
+                    "typo": {"typoCount": ty},
+                    "proximity": {"windowCost": prox},
+                    "attribute": {"contentOnlyMatches": at},
                     "exactness": {"bucket": ("exactPhrase", "allWordsExact",
-                                             "noExactMatch")[exact]},
+                                             "noExactMatch")[ex]},
                 }
-            keyed.append(((-words, typo, pcost, attr, exact, i), h))
-        keyed.sort(key=lambda kh: kh[0])
-        return [h for _, h in keyed]
+        return [hits[i] for i in order]
 
     def _doc_fields(self, doc_ids: list[int],
                     fields: list[str]) -> dict[int, dict]:

@@ -264,12 +264,10 @@ def _positions_engine(segs):
 def test_position_gather_matches_brute_force(case, seq):
     """doc_term_positions equals a per-(doc, term) lookup row for row;
     phrase_rows over it and phrase_match_docs equal a consecutive-position
-    check per doc; and
-    _min_window_cost over the gather equals it over brute-force lists and
-    the minimum over every choice of one position per list."""
-    import itertools
-
-    from meilisearch_thai_ray.index.search import (_min_window_cost, per_doc,
+    check per doc; and min_window_costs over the gather equals the minimum
+    over every choice of one position per held term, minus the held count
+    (0 for rows holding fewer than two terms)."""
+    from meilisearch_thai_ray.index.search import (min_window_costs,
                                                    phrase_rows)
 
     segs, truth, query = case
@@ -283,16 +281,10 @@ def test_position_gather_matches_brute_force(case, seq):
         assert counts.tolist() == [len(w) for w in want]
         assert flat.tolist() == [p for w in want for p in w]
         assert flat.dtype == np.int64
-    lists = {t: per_doc(got[t]) for t in terms}
-    for i, d in enumerate(query):
-        held = [lists[t][i] for t in terms if lists[t][i].size]
-        brute = [np.array(truth[t, d], np.int64) for t in terms
-                 if (t, d) in truth]
-        cost = _min_window_cost(held)
-        assert cost == _min_window_cost(brute)
-        if len(brute) >= 2:
-            assert cost == min(max(c) - min(c) + 1 for c in
-                               itertools.product(*brute)) - len(brute)
+    costs = min_window_costs([got[t] for t in terms], len(query))
+    assert costs.tolist() == [
+        _brute_window_cost([truth[t, d] for t in terms if (t, d) in truth])
+        for d in query]
 
     def holds_phrase(d):
         return any(all(s + j in truth.get((t, d), ())
@@ -304,6 +296,56 @@ def test_position_gather_matches_brute_force(case, seq):
     if len(seq) >= 2:
         assert eng.phrase_match_docs(seq) == sorted(
             d for d in {d for (_t, d) in truth} if holds_phrase(d))
+
+
+def _brute_window_cost(held: list[list[int]]) -> int:
+    """The proximity cost by brute force: the smallest span over every
+    choice of one position per held term, minus the held count; 0 for
+    fewer than two terms."""
+    import itertools
+
+    if len(held) < 2:
+        return 0
+    return min(max(c) - min(c) + 1
+               for c in itertools.product(*held)) - len(held)
+
+
+@st.composite
+def _window_case(draw):
+    """(positions per term per row, n): 0-4 terms over 0-6 rows; a row
+    holds any subset of the terms, none to all. Positions come from a
+    narrow range, so terms often share a position as a compound's
+    sub-terms do, or from a wide one."""
+    n = draw(st.integers(0, 6))
+    pos_st = draw(st.sampled_from([st.integers(0, 3), st.integers(0, 40),
+                                   st.integers(0, 1 << 40)]))
+    rows = [[sorted(draw(st.sets(pos_st, max_size=4))) for _ in range(n)]
+            for _ in range(draw(st.integers(0, 4)))]
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_case())
+def test_min_window_costs_matches_brute_force(case):
+    """min_window_costs over CSR pairs equals the brute-force cost row by
+    row: rows holding no term, one term or every term, terms sharing a
+    position, and n == 0."""
+    from meilisearch_thai_ray.index.search import min_window_costs
+
+    rows, n = case
+    parts = [(np.array([len(r) for r in term_rows], np.int64),
+              np.array([p for r in term_rows for p in r], np.int64))
+             for term_rows in rows]
+    costs = min_window_costs(parts, n)
+    assert costs.dtype == np.int64 and costs.shape == (n,)
+    assert costs.tolist() == [
+        _brute_window_cost([term_rows[i] for term_rows in rows
+                            if term_rows[i]]) for i in range(n)]
+    # a shared position packs two terms into one token: cost -1
+    one = (np.array([1]), np.array([5]))
+    assert min_window_costs([one, one], 1).tolist() == [-1]
+    none = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+    assert min_window_costs([none, none], 0).size == 0
 
 
 # ---------------------- sketch kernels (pure, no Ray) ----------------------

@@ -11,8 +11,7 @@ import pytest
 
 from meilisearch_thai_ray.config import EngineConfig
 from meilisearch_thai_ray.index.build import build_index
-from meilisearch_thai_ray.index.search import (SearchEngine, _min_window_cost,
-                                              per_doc)
+from meilisearch_thai_ray.index.search import SearchEngine, min_window_costs
 from meilisearch_thai_ray.pipelines.search_proxy import (SearchOptions,
                                                          SearchProxy)
 
@@ -171,9 +170,8 @@ def test_exactness_orders_phrase_above_scrambled(rules_index):
     eng = SearchEngine(out)
     gathered = eng.doc_term_positions([phrase_doc, scram_doc], ["red", "fox"])
     assert all((counts > 0).all() for counts, _flat in gathered.values())
-    lists = [per_doc(g) for g in gathered.values()]
-    assert _min_window_cost([pl[0] for pl in lists]) == \
-        _min_window_cost([pl[1] for pl in lists])
+    costs = min_window_costs(list(gathered.values()), 2)
+    assert costs[0] == costs[1]
 
     ranked = [h["doc_id"] for h in proxy.search(
         "red fox", options=SearchOptions(limit=10, ranking_rules=True))]
@@ -215,7 +213,7 @@ def _bm25f_per_doc(eng, out, terms, title_weight):
         knorm = eng.k1 * (1.0 - eng.b + eng.b * dl / eng.avgdl)
         s = 0.0
         for t, w, idf_t, _segs in eng._weighted(terms):
-            pos = per_doc(eng.doc_term_positions([d], [t])[t])[0].tolist()
+            pos = eng.doc_term_positions([d], [t])[t][1].tolist()
             if pos:
                 tf_title = sum(p < boundary for p in pos)
                 tfw = (len(pos) - tf_title) + title_weight * tf_title

@@ -147,3 +147,62 @@ def test_doc_partitioned_drops_tombstones(ray_session, tmp_path_factory):
                 } >= set(gone)
     finally:
         svc.shutdown()
+
+
+def test_served_positional_requests_make_one_round_trip(ray_session,
+                                                        tmp_path_factory,
+                                                        monkeypatch):
+    """Once its dfs are cached, a served phrase with matches and a served
+    proximity request each make exactly one ray.get, and a request with a
+    term no doc holds makes none. On a positional index with tombstones,
+    the service equals the local engine for phrases with a missing, a
+    single, a repeated or only punctuation terms, and for proximity with
+    a missing term."""
+    from meilisearch_thai_ray.index import serving
+    from meilisearch_thai_ray.index.maintenance import delete_docs
+
+    root = tmp_path_factory.mktemp("serve_trips")
+    pages, out = str(root / "pages"), str(root / "index")
+    write_pages_parquet(pages, 250, rows_per_file=125)
+    build_index(pages, out, EngineConfig(num_shards=8, store_positions=True),
+                num_salts=2, batch_size=64)
+    eng = SearchEngine(out)
+    phrase = next(q["query"] for q in QUERY_FIXTURES
+                  if len(eng.phrase_seq(q["query"])) >= 2
+                  and len(eng.phrase_topk(q["query"], 10)) >= 3)
+    delete_docs(out, [d for d, _ in eng.phrase_topk(phrase, 2)])
+    eng = SearchEngine(out)
+    seq = eng.phrase_seq(phrase)
+    assert eng.df("zzzmissing") == 0
+    pool = eng.n_docs
+    trips = []
+    get = serving.ray.get
+    svc = serving.DocPartitionedSearchService(out, num_servers=2)
+    try:
+        monkeypatch.setattr(serving.ray, "get",
+                            lambda *a, **kw: trips.append(1) or get(*a, **kw))
+
+        def round_trips(call, *args) -> int:
+            call(*args)  # warm: fills the df cache
+            trips.clear()
+            call(*args)
+            return len(trips)
+
+        assert svc.phrase_topk(phrase, 10)
+        assert round_trips(svc.phrase_topk, phrase, 10) == 1
+        assert svc.proximity_topk(seq, 10, pool=pool)
+        assert round_trips(svc.proximity_topk, seq, 10, pool) == 1
+        assert round_trips(svc.phrase_topk, f"{phrase} zzzmissing", 10) == 0
+        missing = seq[:1] + ["zzzmissing"]
+        assert round_trips(svc.proximity_topk, missing, 10, pool) == 0
+
+        repeated = f"{seq[0]} {seq[0]}"
+        assert eng.phrase_seq(repeated) == seq[:1] * 2
+        assert eng.phrase_seq("... !!") == []
+        for p in (phrase, f"{phrase} zzzmissing", seq[0], repeated,
+                  "... !!", ""):
+            assert svc.phrase_topk(p, 10) == eng.phrase_topk(p, 10), p
+        assert svc.proximity_topk(missing, 10, pool=pool) == \
+            eng.proximity_topk(missing, 10, pool=pool) == []
+    finally:
+        svc.shutdown()
