@@ -7,14 +7,18 @@ Ray-Data-first topology (SURVEY.md §3.1 'Ray shape'):
                     -> write_parquet(<out>/docs)
   phase "stats":  read docs(token_count) -> count + sum -> meta.json (N, avgdl)
                     [the one true barrier: block-max metadata needs avgdl]
-  phase "shards": read docs(doc_id, terms, token_count)
+  phase "shards": read docs(doc_id, token_count) -> per-salt ordinal maps
+                    (shards/_ordinals/, codec.ordinal_paths)     [build_ordinals]
+                  read docs(doc_id, terms)
                     -> map_batches(PostingsFlat)                 [partial agg + salt]
                     -> groupby("part").map_groups(encode)        [the shuffle]
                     -> atomic per-part parquet + manifest lineage row
                   encode = encode_partition: sort the part's postings by
-                  (term, doc_id) in polars, then codec.encode_segments
-                  writes every term segment in one vectorized pass;
-                  index merge (merge.py) calls the same function.
+                  (term, doc_id) in polars, map doc ids to their salt's
+                  ordinals (lengths for block_max come from the same map
+                  rows), then codec.encode_segments writes every term
+                  segment in one vectorized pass; index merge (merge.py)
+                  calls the same function.
 
 Each phase is skipped on resume when its `.done` marker exists; part files are
 written tmp->rename so resumes never trust torn output (state/manifest.py).
@@ -36,7 +40,10 @@ import ray.data
 from ..config import EngineConfig
 from ..kernel.extract import EXTRACTOR_VERSION
 from ..sources.pages import read_pages
-from ..state.manifest import BuildManifest, atomic_write_parquet
+from ..state.manifest import (BuildManifest, atomic_save_npy,
+                              atomic_write_parquet)
+from .codec import (INDEX_FORMAT, check_index_format, encode_segments,
+                    load_ordinals, ordinal_paths, to_ordinals, write_ordinals)
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -48,7 +55,6 @@ SEGMENT_SCHEMA = pa.schema(
         ("n_docs", pa.int64()),
         ("docs_bin", pa.binary()),
         ("tfs_bin", pa.binary()),
-        ("dls_bin", pa.binary()),
         ("block_last", pa.list_(pa.int64())),
         ("block_max", pa.list_(pa.float64())),
         # store_positions=True: varint delta stream of per-occurrence token
@@ -58,23 +64,37 @@ SEGMENT_SCHEMA = pa.schema(
 )
 
 
+# the shard columns that get Parquet min/max statistics and dictionary
+# encoding; the binary and list columns get neither (a footer would store
+# whole posting blobs as their min/max). `term` statistics let a reader
+# push a term filter into the read.
+SCALAR_COLUMNS = ["shard", "salt", "term", "df", "cf", "n_docs"]
+
 # below this many input bytes the stats and dictionary phases scan in this
 # process; above it they run as Ray jobs
 RAY_AGG_BYTES = 4 << 30
 
 
-def encode_partition(df, *, shard: int, salt: int, avgdl: float, k1: float,
-                     b: float, block: int) -> pa.Table:
-    """One partition's postings as a polars frame sorted by (term, doc_id)
-    -> its SEGMENT_SCHEMA table, every segment encoded in one pass."""
-    from .codec import encode_segments
+def write_shard(table: pa.Table, path: str) -> None:
+    """Write one salted partition's SEGMENT_SCHEMA table atomically."""
+    atomic_write_parquet(table, path, write_statistics=SCALAR_COLUMNS,
+                         use_dictionary=SCALAR_COLUMNS)
 
+
+def encode_partition(df, *, shard: int, salt: int,
+                     ordinals: tuple[np.ndarray, np.ndarray], avgdl: float,
+                     k1: float, b: float, block: int) -> pa.Table:
+    """One partition's postings as a polars frame sorted by (term, doc_id)
+    -> its SEGMENT_SCHEMA table, every segment encoded in one pass over
+    the doc ids' ordinals in the salt's ordinal map `ordinals` (ids, dl).
+    block_max takes each doc's length from the map, as decode does."""
+    ids, dl = ordinals
     starts = np.flatnonzero(df["term"].is_first_distinct().to_numpy())
     pos_flat = (df["positions"].explode().to_numpy()
                 if "positions" in df.columns else None)
-    cols = encode_segments(df["doc_id"].to_numpy(), df["tf"].to_numpy(),
-                           df["dl"].to_numpy(), starts, avgdl, k1, b, block,
-                           pos_flat)
+    ords = to_ordinals(ids, df["doc_id"].to_numpy())
+    cols = encode_segments(ords, df["tf"].to_numpy(), dl[ords], starts,
+                           avgdl, k1, b, block, pos_flat)
     m = starts.size
     return pa.table({
         "shard": np.full(m, shard, np.int32),
@@ -102,16 +122,17 @@ def _encode_group(group: pa.Table, *, out_dir: str, avgdl: float, k1: float,
            "skipped": os.path.exists(path)}
     if row["skipped"]:  # idempotent resume: atomic file => complete
         return pa.Table.from_pylist([row])
-    cols = [c for c in ("term", "doc_id", "tf", "dl", "positions")
+    cols = [c for c in ("term", "doc_id", "tf", "positions")
             if c in group.column_names]
     df = pl.from_arrow(group.select(cols)).sort(["term", "doc_id"])
-    out = encode_partition(df, shard=shard, salt=salt, avgdl=avgdl, k1=k1,
-                           b=b, block=block)
+    out = encode_partition(df, shard=shard, salt=salt,
+                           ordinals=load_ordinals(out_dir, salt, "r"),
+                           avgdl=avgdl, k1=k1, b=b, block=block)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    atomic_write_parquet(out, path)
+    write_shard(out, path)
     row.update(n_terms=out.num_rows, n_postings=df.height,
                bytes=sum(pc.sum(pc.binary_length(out[c])).as_py() or 0
-                         for c in ("docs_bin", "tfs_bin", "dls_bin", "pos_bin")),
+                         for c in ("docs_bin", "tfs_bin", "pos_bin")),
                wall_s=time.time() - t0)
     return pa.Table.from_pylist([row])
 
@@ -184,6 +205,13 @@ def build_docs(pages_path: str, out_dir: str, config: EngineConfig, *,
     return docs_dir
 
 
+def _live_filter(schema: pa.Schema):
+    """The docs-table filter for rows that are not dead letters (status
+    "failed": no postings, not counted in N/avgdl, no ordinal); None for
+    a table without a status column."""
+    return pc.field("status") != "failed" if "status" in schema.names else None
+
+
 def compute_stats(docs_dir: str, out_dir: str, config: EngineConfig) -> dict:
     """Phase 'stats': N, avgdl -> meta.json (the global barrier, tiny aggregate)."""
     meta_path = os.path.join(out_dir, "meta.json")
@@ -199,13 +227,7 @@ def compute_stats(docs_dir: str, out_dir: str, config: EngineConfig) -> dict:
         import pyarrow.dataset as pads
 
         dset = pads.dataset(docs_dir)
-        # failed (dead-letter) rows never count toward N/avgdl — they carry
-        # no postings either, so BM25 stats stay consistent with the shards
-        flt = (
-            pc.field("status") != "failed"
-            if "status" in dset.schema.names
-            else None
-        )
+        flt = _live_filter(dset.schema)
         total_bytes = sum(os.path.getsize(f) for f in dset.files)
         if total_bytes < RAY_AGG_BYTES:
             # small docs table: one driver-side streaming column scan beats a
@@ -236,6 +258,7 @@ def compute_stats(docs_dir: str, out_dir: str, config: EngineConfig) -> dict:
         "posting_block": config.posting_block,
         "num_shards": config.num_shards,
         "store_positions": config.store_positions,
+        "index_format": INDEX_FORMAT,
         "dictionary_hash": config.dictionary_hash(),
         "extractor_version": EXTRACTOR_VERSION,
         # Meilisearch tokenizer settings persist with the index (settings
@@ -271,7 +294,9 @@ def _guard_shards_layout(out_dir: str, config: EngineConfig,
 
     Then records num_salts in meta.json (written by compute_stats, which
     must run first): the one writer of the salt count the query reader and
-    the serving actors read."""
+    the serving actors read. A meta.json without this INDEX_FORMAT raises
+    (codec.check_index_format): its stats and shards belong to an older
+    layout."""
     layout = {
         "num_shards": config.num_shards,
         "num_salts": num_salts,
@@ -309,9 +334,34 @@ def _guard_shards_layout(out_dir: str, config: EngineConfig,
     meta_path = os.path.join(out_dir, "meta.json")
     with open(meta_path) as f:
         meta = json.load(f)
+    check_index_format(meta, out_dir)
     if meta.get("num_salts") != num_salts:
         meta["num_salts"] = num_salts
         _write_json(meta_path, meta, indent=1)
+
+
+def build_ordinals(docs_dir: str, out_dir: str, num_salts: int) -> None:
+    """Shards-phase step: every salt's ordinal map (codec.ordinal_paths)
+    over the docs that are not dead letters, from one driver-side scan of
+    two columns (12 bytes a doc). Maps are written atomically, so a resume
+    that finds them all keeps them."""
+    import pyarrow.dataset as pads
+
+    paths = [p for s in range(num_salts) for p in ordinal_paths(out_dir, s)]
+    if all(os.path.exists(p) for p in paths):
+        return
+    files = [os.path.join(docs_dir, f) for f in os.listdir(docs_dir)
+             if f.endswith(".parquet")]
+    ids = dl = np.zeros(0, np.int64)
+    if files:
+        dset = pads.dataset(files)
+        t = dset.to_table(columns=["doc_id", "token_count"],
+                          filter=_live_filter(dset.schema))
+        ids = t["doc_id"].to_numpy()
+        dl = t["token_count"].to_numpy()
+    for salt in range(num_salts):
+        keep = ids % num_salts == salt
+        write_ordinals(out_dir, salt, ids[keep], dl[keep])
 
 
 def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, *,
@@ -339,6 +389,7 @@ def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, 
         _guard_shards_layout(out_dir, config, num_salts)  # raises on mismatch
         return manifest.partitions("shards")
     _guard_shards_layout(out_dir, config, num_salts)
+    build_ordinals(docs_dir, out_dir, num_salts)
     if meta["n_docs"] == 0:  # zero-row corpus: nothing to shuffle
         os.makedirs(os.path.join(out_dir, "shards"), exist_ok=True)
         manifest.mark_phase_done("shards", {"wall_s": 0.0})
@@ -351,9 +402,7 @@ def build_shards(docs_dir: str, out_dir: str, config: EngineConfig, meta: dict, 
     disk_b = sum(os.path.getsize(os.path.join(docs_dir, f))
                  for f in os.listdir(docs_dir) if f.endswith(".parquet"))
     store_pos = config.store_positions
-    cols = ["doc_id", "terms", "token_count"] + (
-        ["term_positions"] if store_pos else []
-    )
+    cols = ["doc_id", "terms"] + (["term_positions"] if store_pos else [])
     # ~3 blocks/CPU for balance, but never above ~32 MiB decoded per block
     # (decoded postings run ~4x the parquet bytes) or below one block per
     # file-pair — the hint only coalesces, large corpora stay block-capped
@@ -410,13 +459,6 @@ def _neighbourhood_batch(batch: pa.Table) -> pa.Table:
     h, r = typo_arrays(batch["term"].to_pylist())
     rows = batch["row"].to_numpy()
     return pa.table({"hash": h, "row": rows[r]})
-
-
-def _atomic_save_npy(path: str, arr: np.ndarray) -> None:
-    tmp = path + f".tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        np.save(f, arr)
-    os.replace(tmp, path)
 
 
 def build_term_dict(out_dir: str) -> str:
@@ -495,8 +537,8 @@ def build_term_dict(out_dir: str) -> str:
         t = pa.concat_tables(ray.get(rows.to_arrow_refs()))
         h = t["hash"].to_numpy().astype(np.uint32)
         r = t["row"].to_numpy().astype(np.int32)
-    _atomic_save_npy(os.path.join(td, "hash.npy"), h)
-    _atomic_save_npy(os.path.join(td, "row.npy"), r)
+    atomic_save_npy(os.path.join(td, "hash.npy"), h)
+    atomic_save_npy(os.path.join(td, "row.npy"), r)
     manifest.mark_phase_done("dict", {"wall_s": time.time() - t0})
     return d
 

@@ -1,18 +1,34 @@
-"""Delta + varint (LEB128) posting-list codec with per-block max-score metadata.
+"""Delta + varint (LEB128) posting-list codec over dense per-salt doc
+ordinals, with per-block max-score metadata.
+
+Ordinal map, one per salt (salt = doc_id % num_salts), under
+shards/_ordinals/: the salt's docs that are not dead letters, sorted by
+doc_id, as ids-SSSS.npy (uint64 doc ids) and dl-SSSS.npy (uint32 token
+counts). A doc's ordinal is its row there, so ordinal order is doc-id
+order and each doc's length is stored once per salt.
 
 Layout per (term, salt) segment:
-  docs_bin: varint(delta(doc_ids))     -- doc_ids strictly increasing
+  docs_bin: varint(delta(ordinals))    -- ordinals strictly increasing
   tfs_bin:  varint(tf - 1)             -- tf >= 1
-  dls_bin:  varint(dl)                 -- per-posting document length
-  block_last: int64[ceil(n/B)]         -- last doc_id per block (skip pointers)
+  block_last: int64[ceil(n/B)]         -- last ordinal per block (skip pointers)
   block_max:  float64[ceil(n/B)]       -- max idf-independent partial score per
                                           block: tfn = tf(k1+1)/(tf+k1(1-b+b·dl/avgdl)).
                                           idf multiplies at query time, so
                                           encoding needs only avgdl (one global
                                           scalar barrier), not per-term df.
+  pos_bin:  varint(delta(positions))   -- per posting, tf of them, gaps
+                                          restarting at each posting; empty
+                                          without store_positions
+
+block_max and decode both read a doc's length from the map, so block_max
+bounds every decoded tfn. README "Index format" has the bytes per column.
+
+decode_segment reads a segment back through its salt's map: doc ids and
+lengths are gathers ids[ord], dl[ord], so everything above the codec works
+on doc ids.
 
 encode_segments writes every segment of one (shard, salt) partition in one
-pass: each stream (doc deltas, tf-1, dl, position deltas) is encoded once
+pass: each stream (ordinal deltas, tf-1, position deltas) is encoded once
 for the whole partition and cut into per-segment values at byte offsets.
 LEB128 encodes each value on its own, so a segment's slice of the stream is
 exactly that segment's encoding. Block metadata comes from reduceat over
@@ -22,10 +38,28 @@ not values; decode is vectorized the same way.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 
 from ..config import BM25_B, BM25_K1, POSTING_BLOCK
+from ..state.manifest import atomic_save_npy
+
+# meta.json "index_format": the on-disk layout this module reads and writes.
+# 2 = postings over per-salt ordinals; indexes without it hold doc-id gaps
+# and a per-posting dls_bin, and are refused (rebuild them)
+INDEX_FORMAT = 2
+ORDINALS_DIR = "_ordinals"  # under shards/; "_" keeps dataset readers out
+
+
+def check_index_format(meta: dict, where: str) -> None:
+    """Raise ValueError naming a rebuild unless `meta` (an index's
+    meta.json) records this module's INDEX_FORMAT."""
+    if meta.get("index_format") != INDEX_FORMAT:
+        raise ValueError(
+            f"index at {where} has index_format {meta.get('index_format')!r}, "
+            f"not {INDEX_FORMAT} — rebuild it into a fresh directory")
 
 _THRESHOLDS = [np.uint64(1) << np.uint64(7 * k) for k in range(1, 10)]
 _OFFSET_LIMIT = (1 << 31) - 1  # largest offset of a pa.binary() array
@@ -133,24 +167,70 @@ def _binary(data: np.ndarray, nbytes: np.ndarray, bounds: np.ndarray):
     return pa.chunked_array(chunks, pa.binary())
 
 
-def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
+def ordinal_paths(index_dir: str, salt: int) -> tuple[str, str]:
+    """(ids .npy, dl .npy) paths of one salt's ordinal map."""
+    d = os.path.join(index_dir, "shards", ORDINALS_DIR)
+    return (os.path.join(d, f"ids-{salt:04d}.npy"),
+            os.path.join(d, f"dl-{salt:04d}.npy"))
+
+
+def load_ordinals(index_dir: str, salt: int, mmap_mode: str | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One salt's ordinal map: (doc ids uint64 ascending, dl uint32).
+    mmap_mode="r" maps the files instead of reading them, for a task that
+    touches only the rows of one partition's docs."""
+    ids_p, dl_p = ordinal_paths(index_dir, salt)
+    return np.load(ids_p, mmap_mode=mmap_mode), np.load(dl_p, mmap_mode=mmap_mode)
+
+
+def write_ordinals(out_dir: str, salt: int, ids: np.ndarray,
+                   dl: np.ndarray) -> None:
+    """Write one salt's ordinal map from its docs' (doc_id, token_count)
+    in any order: sorted by doc id, each .npy written atomically. A doc id
+    on several rows (a URL fetched twice; its postings all carry the one
+    id) keeps one row, its smallest token_count, whatever the scan
+    order."""
+    order = np.lexsort((dl, ids))
+    ids = np.asarray(ids).astype(np.uint64)[order]
+    first = np.ones(ids.size, bool)
+    first[1:] = ids[1:] != ids[:-1]
+    ids_p, dl_p = ordinal_paths(out_dir, salt)
+    os.makedirs(os.path.dirname(ids_p), exist_ok=True)
+    atomic_save_npy(ids_p, ids[first])
+    atomic_save_npy(dl_p, np.asarray(dl)[order][first].astype(np.uint32))
+
+
+def to_ordinals(ids: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
+    """Each doc id's row in a salt's sorted `ids`; raises ValueError on an
+    id the map does not hold."""
+    doc_ids = np.asarray(doc_ids, dtype=np.uint64)
+    ords = np.searchsorted(ids, doc_ids)
+    bad = ords >= ids.size
+    bad[~bad] = ids[ords[~bad]] != doc_ids[~bad]
+    if bad.any():
+        raise ValueError(f"doc_id {doc_ids[bad][0]} has a posting but no "
+                         f"row in its salt's ordinal map")
+    return ords
+
+
+def encode_segments(ords: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
                     starts: np.ndarray, avgdl: float, k1: float = BM25_K1,
                     b: float = BM25_B, block: int = POSTING_BLOCK,
                     pos_flat: np.ndarray | None = None) -> dict:
     """Encode every (term, salt) segment of one partition in one pass.
 
-    The rows are the partition's postings sorted by (term, doc_id); segment
-    i is rows starts[i] up to starts[i + 1] (the last runs to the end), its
-    doc_ids strictly ascending. pos_flat, when given, holds each row's
-    ascending positions back to back, tfs[row] of them. -> one value per
-    segment for each codec column: n_docs, cf (int64 arrays), docs_bin,
-    tfs_bin, dls_bin, pos_bin (pa.binary; pos_bin empty without pos_flat),
-    block_last, block_max (pa lists)."""
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
+    The rows are the partition's postings sorted by (term, ordinal);
+    segment i is rows starts[i] up to starts[i + 1] (the last runs to the
+    end), its ordinals strictly ascending. dls (each row's doc length)
+    only feed block_max. pos_flat, when given, holds each row's ascending
+    positions back to back, tfs[row] of them. -> one value per segment for
+    each codec column: n_docs, cf (int64 arrays), docs_bin, tfs_bin,
+    pos_bin (pa.binary; pos_bin empty without pos_flat), block_last,
+    block_max (pa lists)."""
+    ords = np.ascontiguousarray(ords, dtype=np.uint64)
     tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
-    dls = np.ascontiguousarray(dls, dtype=np.uint64)
     starts = np.asarray(starts, dtype=np.int64)
-    n = doc_ids.size
+    n = ords.size
     bounds = np.append(starts, n)
     n_docs = np.diff(bounds)
     if starts.size:
@@ -167,7 +247,7 @@ def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
     tfn = tfn_scores(tfs, dls, avgdl, k1, b)
     block_max = (np.maximum.reduceat(tfn, block_starts) if block_starts.size
                  else np.zeros(0, dtype=np.float64))
-    block_last = doc_ids[block_ends - 1].astype(np.int64)
+    block_last = ords[block_ends - 1].astype(np.int64)
     list_offsets = pa.array(np.append(first, nblocks.sum()).astype(np.int32))
     if pos_flat is None:
         pos_bin = pa.array([b""] * starts.size, pa.binary())
@@ -183,9 +263,8 @@ def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
     return {
         "n_docs": n_docs,
         "cf": cf,
-        "docs_bin": _binary(*_delta_stream(doc_ids, starts), bounds),
+        "docs_bin": _binary(*_delta_stream(ords, starts), bounds),
         "tfs_bin": _binary(*_leb128(tfs - np.uint64(1)), bounds),
-        "dls_bin": _binary(*_leb128(dls), bounds),
         "block_last": pa.ListArray.from_arrays(list_offsets,
                                                pa.array(block_last)),
         "block_max": pa.ListArray.from_arrays(list_offsets,
@@ -194,11 +273,20 @@ def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
     }
 
 
-def decode_segment(docs_bin: bytes, tfs_bin: bytes, dls_bin: bytes,
-                   n_docs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """-> (doc_ids uint64 ascending, tfs uint64, dls uint64)."""
-    deltas = varint_decode(docs_bin, n_docs)
-    doc_ids = np.cumsum(deltas, dtype=np.uint64)
-    tfs = varint_decode(tfs_bin, n_docs) + np.uint64(1)
-    dls = varint_decode(dls_bin, n_docs)
-    return doc_ids, tfs, dls
+def decode_segment(docs_bin: bytes, tfs_bin: bytes, n_docs,
+                   ordinals: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """-> (doc_ids uint64, tfs uint64, dls uint32) of one segment, or of
+    several segments of one salt whose streams are concatenated, n_docs
+    then holding each one's posting count (ordinal gaps restart at each).
+    Doc ids and lengths are gathered from the salt's ordinal map
+    (load_ordinals)."""
+    counts = np.atleast_1d(np.asarray(n_docs, dtype=np.int64))
+    total = int(counts.sum())
+    ords = segment_cumsum(varint_decode(docs_bin, total), counts)
+    ids, dl = ordinals
+    if total and int(ords.max()) >= ids.size:
+        raise ValueError(f"ordinal {int(ords.max())} past a salt map of "
+                         f"{ids.size} docs")
+    tfs = varint_decode(tfs_bin, total) + np.uint64(1)
+    return ids[ords], tfs, dl[ords]

@@ -9,17 +9,19 @@ layout, so partition (shard, salt) of the merged index depends ONLY on
 partition (shard, salt) of each source — the merge is one independent Ray
 task per partition (decode -> sort by (term, doc_id) -> re-encode), zero
 all-to-all exchange. Only the tiny stats barrier (N, avgdl over the merged
-docs) and the term-dictionary rebuild touch anything global.
+docs), the per-salt ordinal maps (the sorted union of the sources' maps)
+and the term-dictionary rebuild touch anything global.
 
 Why re-encode instead of concatenating bytes: block-max metadata (and tfn
-upper bounds) depend on the MERGED avgdl, and doc-id delta streams restart
-per segment — re-encoding with the exact merged avgdl makes the output
-bit-identical to a from-scratch rebuild of the union corpus (asserted in
-tests down to shard-file bytes).
+upper bounds) depend on the MERGED avgdl, and each source posting's
+ordinal moves in the merged map (source ordinal -> doc id -> merged
+ordinal) — re-encoding with the exact merged avgdl and maps makes the
+output bit-identical to a from-scratch rebuild of the union corpus
+(asserted in tests down to shard-file and map bytes).
 
-Contract: source doc_ids must be disjoint. Every posting-level collision
-raises (that covers any doc sharing a term); the docs-union count is also
-verified against the sum of source counts.
+Contract: source doc_ids must be disjoint. A doc id in two sources' maps
+raises; the docs-union count is also verified against the sum of source
+counts.
 """
 
 from __future__ import annotations
@@ -38,18 +40,23 @@ from .build import (
     build_term_dict,
     compute_stats,
     encode_partition,
+    write_shard,
 )
-from .codec import decode_positions, segment_cumsum, varint_decode
+from .codec import (check_index_format, decode_positions, decode_segment,
+                    load_ordinals, ordinal_paths, write_ordinals)
 from .maintenance import finalize_carried_meta
-from ..state.manifest import BuildManifest, atomic_write_parquet
+from ..state.manifest import BuildManifest
 
 _LAYOUT_KEYS = ("num_shards", "num_salts", "dictionary_hash",
                 "extractor_version", "tokenizer_version", "store_positions")
 
 
 def _load_meta(index_dir: str) -> dict:
+    """A source's meta.json; raises on an index of another format."""
     with open(os.path.join(index_dir, "meta.json")) as f:
-        return json.load(f)
+        meta = json.load(f)
+    check_index_format(meta, index_dir)
+    return meta
 
 
 def _validate_sources(index_dirs: list[str]) -> list[dict]:
@@ -76,22 +83,20 @@ def _validate_sources(index_dirs: list[str]) -> list[dict]:
     return metas
 
 
-def _decode_rows(t: pa.Table, store_pos: bool) -> pa.Table:
-    """One source partition's segments -> its flat (term, doc_id, tf, dl
-    [, positions]) posting rows. The segments' streams concatenate into
-    one varint stream each; doc ids restart at every segment."""
+def _decode_rows(t: pa.Table, store_pos: bool,
+                 ordinals: tuple[np.ndarray, np.ndarray]) -> pa.Table:
+    """One source partition's segments -> its flat (term, doc_id, tf
+    [, positions]) posting rows, through the partition salt's ordinal map.
+    The segments' streams concatenate into one varint stream each;
+    ordinals restart at every segment."""
     n_docs = t["n_docs"].to_numpy()
-    total = int(n_docs.sum())
-
-    def stream(col: str) -> np.ndarray:
-        return varint_decode(b"".join(t[col].to_pylist()), total)
-
-    tfs = stream("tfs_bin") + np.uint64(1)
+    doc_ids, tfs, _ = decode_segment(
+        b"".join(t["docs_bin"].to_pylist()),
+        b"".join(t["tfs_bin"].to_pylist()), n_docs, ordinals)
     cols = {
         "term": t["term"].take(np.repeat(np.arange(t.num_rows), n_docs)),
-        "doc_id": segment_cumsum(stream("docs_bin"), n_docs).astype(np.int64),
+        "doc_id": doc_ids.astype(np.int64),
         "tf": tfs.astype(np.int64),
-        "dl": stream("dls_bin").astype(np.int64),
     }
     if store_pos:
         flat, starts = decode_positions(b"".join(t["pos_bin"].to_pylist()), tfs)
@@ -100,38 +105,28 @@ def _decode_rows(t: pa.Table, store_pos: bool) -> pa.Table:
     return pa.table(cols)
 
 
-def _merge_rows(tables: list[pa.Table], *, shard: int, salt: int,
-                avgdl: float, k1: float, b: float, block: int,
-                store_pos: bool) -> pa.Table:
-    """Merge the same (shard, salt) partition of every source: decode every
-    segment to posting rows, sort them by (term, doc_id), re-encode."""
-    import polars as pl
-
-    df = pl.from_arrow(pa.concat_tables(
-        [_decode_rows(t, store_pos) for t in tables])).sort(["term", "doc_id"])
-    dup = df.filter((pl.col("term") == pl.col("term").shift())
-                    & (pl.col("doc_id") == pl.col("doc_id").shift()))
-    if dup.height:
-        raise ValueError(
-            f"doc_id {dup['doc_id'][0]} appears in more than one source index "
-            f"(term {dup['term'][0]!r}, shard {shard}, salt {salt}) — merge "
-            f"requires disjoint doc_id spaces")
-    return encode_partition(df, shard=shard, salt=salt, avgdl=avgdl, k1=k1,
-                            b=b, block=block)
-
-
 @ray.remote
-def _merge_partition_task(src_paths: list[str], out_path: str, shard: int,
-                          salt: int, avgdl: float, k1: float, b: float,
-                          block: int, store_pos: bool) -> int:
+def _merge_partition_task(index_dirs: list[str], out_dir: str, rel: str,
+                          shard: int, salt: int, avgdl: float, k1: float,
+                          b: float, block: int, store_pos: bool) -> int:
+    """Merge the same (shard, salt) partition of every source: decode every
+    segment to posting rows, sort them by (term, doc_id), re-encode over
+    the merged ordinal map. The maps are disjoint (merge_indexes checks),
+    so no (term, doc_id) pair repeats."""
+    import polars as pl
     import pyarrow.parquet as pq
 
-    tables = [pq.read_table(p) for p in src_paths if os.path.exists(p)]
-    if not tables:
+    rows = [_decode_rows(pq.read_table(os.path.join(d, "shards", rel)),
+                         store_pos, load_ordinals(d, salt, "r"))
+            for d in index_dirs
+            if os.path.exists(os.path.join(d, "shards", rel))]
+    if not rows:
         return 0
-    merged = _merge_rows(tables, shard=shard, salt=salt, avgdl=avgdl,
-                         k1=k1, b=b, block=block, store_pos=store_pos)
-    atomic_write_parquet(merged, out_path)
+    df = pl.from_arrow(pa.concat_tables(rows)).sort(["term", "doc_id"])
+    merged = encode_partition(df, shard=shard, salt=salt,
+                              ordinals=load_ordinals(out_dir, salt, "r"),
+                              avgdl=avgdl, k1=k1, b=b, block=block)
+    write_shard(merged, os.path.join(out_dir, "shards", rel))
     return merged.num_rows
 
 
@@ -178,6 +173,19 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *,
 
     if not manifest.phase_done("shards"):
         _guard_shards_layout(out_dir, cfg, num_salts)
+        for salt in range(num_salts):  # sorted union of the sources' maps
+            if not os.path.exists(ordinal_paths(out_dir, salt)[1]):
+                maps = [load_ordinals(d, salt) for d in index_dirs]
+                ids = np.concatenate([m[0] for m in maps])
+                srt = np.sort(ids)
+                dup = srt[1:][srt[1:] == srt[:-1]]
+                if dup.size:
+                    raise ValueError(
+                        f"doc_id {dup[0]} appears in more than one source "
+                        f"index (salt {salt}) — merge requires disjoint "
+                        f"doc_id spaces")
+                write_ordinals(out_dir, salt, ids,
+                               np.concatenate([m[1] for m in maps]))
         avgdl, k1, b = meta["avgdl"], cfg.k1, cfg.b
         block = cfg.posting_block
         refs = []
@@ -189,10 +197,9 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *,
                 if os.path.exists(out_path):
                     continue  # finished partition: resume skips it
                 os.makedirs(os.path.dirname(out_path), exist_ok=True)
-                srcs = [os.path.join(d, "shards", rel) for d in index_dirs]
                 refs.append(_merge_partition_task.remote(
-                    srcs, out_path, shard, salt, avgdl, k1, b, block,
-                    store_pos))
+                    index_dirs, out_dir, rel, shard, salt, avgdl, k1, b,
+                    block, store_pos))
         n_terms = sum(ray.get(refs)) if refs else 0
         manifest.mark_phase_done("shards", {"merged_terms": n_terms,
                                             "sources": list(index_dirs)})

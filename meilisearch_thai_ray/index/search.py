@@ -15,7 +15,11 @@ Scoring is Lucene-style BM25 (k1=1.2, b=0.75; kernel/bm25.py). Guarantees:
     is decoded, so a block-skipping scorer would save no work;
   * salted segments of one term are doc-disjoint (doc_id % num_salts), so
     total df = sum of segment dfs, and per-term posting traversal concatenates
-    segments in salt order.
+    segments in salt order;
+  * postings store per-salt doc ordinals (codec.py): a segment decodes
+    through its salt's ordinal map, loaded on the salt's first decode, into
+    doc ids and lengths, so scorers, shadows and tombstones work on doc
+    ids. An index without meta.json's index_format is refused.
 
 Reference query-side semantics (variants/boosts, search_proxy/services/*) are
 layered on top in pipelines/search_proxy.py.
@@ -38,7 +42,8 @@ from ..config import EngineConfig
 from ..kernel.bm25 import idf as _idf
 from ..kernel.tokenize import DocumentTokenizer
 from ..stages.extract_tokenize import DOCS_SCHEMA
-from .codec import decode_segment, tfn_scores
+from .codec import (check_index_format, decode_segment, load_ordinals,
+                    tfn_scores)
 
 # shard term tables one engine keeps loaded; the cache resets past this
 SHARD_CACHE_CAP = 64
@@ -218,7 +223,8 @@ def phrase_rows(gathered: dict[str, tuple[np.ndarray, np.ndarray]],
         counts, flat = gathered[t]
         ok = flat >= j
         kj = np.repeat(rows, counts)[ok] * width + (flat[ok] - j + 1)
-        keys = kj if keys is None else keys[np.isin(keys, kj)]
+        keys = (kj if keys is None
+                else np.intersect1d(keys, kj, assume_unique=True))
         if not keys.size:
             break
     mask = np.zeros(n, dtype=bool)
@@ -274,6 +280,7 @@ class SearchEngine:
                  shadow: "np.ndarray | None" = None):
         with open(os.path.join(index_dir, "meta.json")) as f:
             self.meta = json.load(f)
+        check_index_format(self.meta, index_dir)
         # salts != None restricts this engine to a doc partition (salt =
         # doc_id % num_salts): local df is then PARTIAL — scorers must be
         # called with dfs= holding the globally-summed dfs
@@ -299,6 +306,7 @@ class SearchEngine:
         self.num_shards = self.meta["num_shards"]
         self._shard_cache: dict[int, dict[str, list]] = {}
         self._seg_cache: dict[str, list] = {}  # decoded segments per term
+        self._ordinals: dict[int, tuple] = {}  # salt -> (ids, dl), lazily
         from .maintenance import load_tombstones
 
         self._dead: set[int] = load_tombstones(index_dir)
@@ -338,17 +346,11 @@ class SearchEngine:
         if cached is not None:
             return cached
         terms: dict[str, list] = {}
+        names = ["term", "n_docs", "docs_bin", "tfs_bin", "pos_bin", "salt"]
         for path in self._shard_tables(shard):
-            t = pq.read_table(path)
-            has_pos = "pos_bin" in t.column_names  # pre-positional layout
-            names = ("term", "n_docs", "docs_bin", "tfs_bin", "dls_bin")
-            cols = {c: t[c].to_pylist() for c in names}
-            pos = t["pos_bin"].to_pylist() if has_pos else [b""] * t.num_rows
-            for i, term in enumerate(cols["term"]):
-                terms.setdefault(term, []).append(
-                    (cols["n_docs"][i], cols["docs_bin"][i], cols["tfs_bin"][i],
-                     cols["dls_bin"][i], pos[i])
-                )
+            t = pq.read_table(path, columns=names)
+            for term, *raw in zip(*(t[c].to_pylist() for c in names)):
+                terms.setdefault(term, []).append(tuple(raw))
         if len(self._shard_cache) > SHARD_CACHE_CAP:
             self._shard_cache.clear()
         self._shard_cache[shard] = terms
@@ -366,8 +368,11 @@ class SearchEngine:
             self._seg_cache[term] = []
             return []
         segs = []
-        for n_docs, docs_bin, tfs_bin, dls_bin, pos_bin in raw:
-            doc_ids, tfs, dls = decode_segment(docs_bin, tfs_bin, dls_bin, n_docs)
+        for n_docs, docs_bin, tfs_bin, pos_bin, salt in raw:
+            if salt not in self._ordinals:
+                self._ordinals[salt] = load_ordinals(self.index_dir, salt)
+            doc_ids, tfs, dls = decode_segment(docs_bin, tfs_bin, n_docs,
+                                               self._ordinals[salt])
             keep = None
             if self._shadow is not None:
                 keep = ~np.isin(doc_ids, self._shadow)
@@ -730,12 +735,11 @@ class SearchEngine:
                 return []
             doc_sets.append(np.concatenate([s.doc_ids for s in segs]))
         doc_sets.sort(key=len)  # intersect smallest-first
-        cand = doc_sets[0]
+        cand = np.sort(doc_sets[0])
         for ds_ in doc_sets[1:]:
-            cand = cand[np.isin(cand, ds_)]
+            cand = np.intersect1d(cand, ds_, assume_unique=True)
             if cand.size == 0:
                 return []
-        cand = np.sort(cand)
         gathered = self.doc_term_positions(cand, seq)
         return [int(d) for d in cand[phrase_rows(gathered, seq, cand.size)]]
 

@@ -257,10 +257,12 @@ def crawl_refresh_demo(sf_dir: str) -> pa.Table:
 
     from .simple_text import input_fingerprint
     from ..index.build import build_index
+    from ..index.codec import INDEX_FORMAT
 
     base_rows, crawl_rows = _demo_rows(sf_dir)
     fp = hashlib.md5((input_fingerprint(
-        os.path.join(sf_dir, "documents.parquet")) + "crawlref-v1").encode()
+        os.path.join(sf_dir, "documents.parquet")) + "crawlref-v1"
+        + f"-f{INDEX_FORMAT}").encode()
     ).hexdigest()[:10]
     cache = os.path.join(_CACHE_ROOT, f"crawlref_base_{fp}")
     cfg = EngineConfig(num_shards=4)

@@ -63,6 +63,7 @@ class DocsToPages:
 
 def build_flagship_index(sf_dir: str, out_dir: str | None = None) -> str:
     from ..index.build import build_index
+    from ..index.codec import INDEX_FORMAT
 
     from ..kernel.extract import EXTRACTOR_VERSION
     from ..kernel.tokenize import TOKENIZER_VERSION
@@ -74,6 +75,7 @@ def build_flagship_index(sf_dir: str, out_dir: str | None = None) -> str:
         + EXTRACTOR_VERSION
         + TOKENIZER_VERSION
         + "pos1"  # flagship index stores positions (phrase search)
+        + f"f{INDEX_FORMAT}"
     )
     key = hashlib.md5(
         (input_fingerprint(os.path.join(sf_dir, "documents.parquet"))

@@ -23,6 +23,8 @@ import ray.data
 from ray.data.aggregate import Count, Sum
 
 from ..config import EngineConfig
+from ..index.codec import (INDEX_FORMAT, decode_segment, load_ordinals,
+                           tfn_scores)
 from ..sources.documents import read_parquet_clean
 from ..stages.ann import BruteForceCosineTopK, merge_topk
 from ..stages.filter_dsl import compile_filter, dsl_to_sql
@@ -246,7 +248,8 @@ def simple_index_dir(sf_dir: str) -> str:
     from ..state.manifest import BuildManifest
 
     key = hashlib.md5(
-        (input_fingerprint(_doc_path(sf_dir)) + "simple-v1").encode()
+        (input_fingerprint(_doc_path(sf_dir)) + "simple-v1"
+         + f"-f{INDEX_FORMAT}").encode()
     ).hexdigest()[:10]
     out = os.path.join(_CACHE_ROOT, f"simple_index_{key}")
     os.makedirs(out, exist_ok=True)
@@ -310,19 +313,28 @@ FROM scores ORDER BY score DESC, doc_id LIMIT 10
 """
 
 
-def _decode_segments(batch: pa.Table) -> pa.Table:
-    """One batch of encoded shard segments -> (term, doc_id, tf) rows.
-    Distributed codec round-trip: varint-delta doc ids + varint tfs."""
-    from ..index.codec import decode_segment
+# the shard columns _decoded reads
+SEGMENT_COLUMNS = ["term", "salt", "n_docs", "docs_bin", "tfs_bin"]
 
+
+def _decoded(batch: pa.Table, idx: str):
+    """Yield (term, doc_ids, tfs, dls) for each encoded segment row (the
+    SEGMENT_COLUMNS) of index `idx`, decoded through its salt's ordinal
+    map; each map is loaded once per batch."""
+    maps: dict[int, tuple] = {}
+    for term, salt, n, docs_bin, tfs_bin in zip(
+            *(batch[c].to_pylist() for c in SEGMENT_COLUMNS)):
+        if salt not in maps:
+            maps[salt] = load_ordinals(idx, salt)
+        yield (term, *decode_segment(docs_bin, tfs_bin, n, maps[salt]))
+
+
+def _decode_segments(batch: pa.Table, idx: str) -> pa.Table:
+    """One batch of encoded shard segments of index `idx` -> (term, doc_id,
+    tf) rows. Distributed codec round-trip: varint-delta ordinals through
+    each segment's salt map + varint tfs."""
     terms_out, ids_out, tfs_out = [], [], []
-    n_docs = batch["n_docs"].to_pylist()
-    docs_b = batch["docs_bin"].to_pylist()
-    tfs_b = batch["tfs_bin"].to_pylist()
-    dls_b = batch["dls_bin"].to_pylist()
-    for i, term in enumerate(batch["term"].to_pylist()):
-        doc_ids, tfs, _ = decode_segment(docs_b[i], tfs_b[i], dls_b[i],
-                                         n_docs[i])
+    for term, doc_ids, tfs, _ in _decoded(batch, idx):
         terms_out.append(np.full(doc_ids.size, term, dtype=object))
         ids_out.append(doc_ids.astype(np.int64))
         tfs_out.append(tfs.astype(np.int64))
@@ -343,13 +355,15 @@ def postings_export(sf_dir: str):
     verifies the ENTIRE build path cell-by-cell: tokenize -> stats barrier ->
     salted posting shuffle -> varint/delta codec -> shard layout; any
     encode/decode or shuffle defect surfaces as a hash mismatch."""
+    import functools
+
     idx = simple_index_dir(sf_dir)
     ds = ray.data.read_parquet(
         os.path.join(idx, "shards"),
-        columns=["term", "n_docs", "docs_bin", "tfs_bin", "dls_bin"],
+        columns=SEGMENT_COLUMNS,
     )
-    return ds.map_batches(_decode_segments, batch_format="pyarrow",
-                          batch_size=2048)
+    return ds.map_batches(functools.partial(_decode_segments, idx=idx),
+                          batch_format="pyarrow", batch_size=2048)
 
 
 SQL["j9_postings_export"] = """
@@ -2187,7 +2201,6 @@ def hybrid_topk(sf_dir: str, k: int = HYBRID_K, w_sem: int = 1, w_kw: int = 1,
     driver."""
     import json
 
-    from ..index.codec import decode_segment, tfn_scores
     from ..kernel.bm25 import idf as _idf
     from ..stages.runs import sum_by_int_key
 
@@ -2218,21 +2231,14 @@ def hybrid_topk(sf_dir: str, k: int = HYBRID_K, w_sem: int = 1, w_kw: int = 1,
 
         seg_ds = ray.data.read_parquet(
             os.path.join(idx, "shards"),
-            columns=["term", "n_docs", "docs_bin", "tfs_bin", "dls_bin"],
+            columns=SEGMENT_COLUMNS,
             filter=pc.field("term").isin(q_terms),
         )
 
         def _contribs(batch: pa.Table) -> pa.Table:
             ids_out, val_out = [], []
-            terms_l = batch["term"].to_pylist()
-            nds = batch["n_docs"].to_pylist()
-            db = batch["docs_bin"].to_pylist()
-            tb = batch["tfs_bin"].to_pylist()
-            lb = batch["dls_bin"].to_pylist()
-            for i in range(batch.num_rows):
-                doc_ids, tfs, dls = decode_segment(db[i], tb[i], lb[i],
-                                                   nds[i])
-                idf_t = idf_by_term[terms_l[i]]
+            for term, doc_ids, tfs, dls in _decoded(batch, idx):
+                idf_t = idf_by_term[term]
                 ids_out.append(doc_ids.astype(np.int64))
                 val_out.append(idf_t * tfn_scores(tfs, dls, avgdl))
             if not ids_out:

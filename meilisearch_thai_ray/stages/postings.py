@@ -1,4 +1,4 @@
-"""Stage 2: docs batches -> flat posting rows (term, doc_id, tf, dl, part).
+"""Stage 2: docs batches -> flat posting rows (term, doc_id, tf, part).
 
 Per-batch PARTIAL aggregation (polars explode + group_by) collapses repeated
 terms to (doc, term, tf) before the all-to-all shuffle — the combiner pattern
@@ -28,7 +28,6 @@ POSTINGS_SCHEMA = pa.schema(
         ("term", pa.string()),
         ("doc_id", pa.int64()),
         ("tf", pa.int32()),
-        ("dl", pa.int32()),
         ("part", pa.int32()),
     ]
 )
@@ -79,7 +78,7 @@ class PostingsFlat:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.positions:
             df = pl.from_arrow(
-                batch.select(["doc_id", "terms", "token_count", "term_positions"])
+                batch.select(["doc_id", "terms", "term_positions"])
             )
             agg = (
                 df.explode(["terms", "term_positions"])  # parallel lists
@@ -88,18 +87,17 @@ class PostingsFlat:
                 .group_by(["term", "doc_id"])
                 .agg(
                     pl.len().alias("tf"),
-                    pl.first("token_count").alias("dl"),
                     pl.col("pos").sort().alias("positions"),
                 )
             )
         else:
-            df = pl.from_arrow(batch.select(["doc_id", "terms", "token_count"]))
+            df = pl.from_arrow(batch.select(["doc_id", "terms"]))
             agg = (
                 df.explode("terms")
                 .drop_nulls("terms")
                 .rename({"terms": "term"})
                 .group_by(["term", "doc_id"])
-                .agg(pl.len().alias("tf"), pl.first("token_count").alias("dl"))
+                .agg(pl.len().alias("tf"))
             )
         schema = POSTINGS_POS_SCHEMA if self.positions else POSTINGS_SCHEMA
         if agg.height == 0:

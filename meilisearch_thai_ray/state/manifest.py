@@ -55,6 +55,16 @@ class BuildManifest:
         return {r["partition"] for r in self.partitions(phase)}
 
 
+def atomic_save_npy(path: str, arr) -> None:
+    """Save a numpy array as .npy atomically (tmp in same dir + rename)."""
+    import numpy as np
+
+    tmp = path + f".tmp.{os.getpid()}"
+    with open(tmp, "wb") as f:
+        np.save(f, arr)
+    os.replace(tmp, path)
+
+
 def atomic_write_parquet(table, path: str, **write_kwargs) -> None:
     """Write a parquet file atomically (tmp in same dir + rename)."""
     import pyarrow.parquet as pq

@@ -1,6 +1,7 @@
 """Posting codec roundtrip vectors (FIXTURES.md §5: sizes 0/1/127/128/129/10k)
 and byte identity of the one-pass partition encoder with the per-segment
-reference encoder it replaced."""
+reference encoder it replaced. Segments hold per-salt doc ordinals and
+decode through the salt's ordinal map."""
 
 import numpy as np
 import pyarrow as pa
@@ -15,6 +16,7 @@ from meilisearch_thai_ray.index.codec import (
     decode_segment,
     encode_segments,
     tfn_scores,
+    to_ordinals,
     varint_decode,
 )
 
@@ -60,32 +62,32 @@ def encode_positions(positions: list, tfs: np.ndarray) -> bytes:
     return varint_encode(deltas)
 
 
-def encode_segment(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
+def encode_segment(ords: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
                    avgdl: float, k1: float = BM25_K1, b: float = BM25_B,
                    block: int = POSTING_BLOCK) -> dict:
-    """Encode one (term, salt) posting segment. doc_ids must be sorted ascending."""
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
+    """Encode one (term, salt) posting segment. ords (the postings' doc
+    ordinals) must be sorted ascending; dls only feed block_max."""
+    ords = np.ascontiguousarray(ords, dtype=np.uint64)
     tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
     dls = np.ascontiguousarray(dls, dtype=np.uint64)
-    n = doc_ids.size
+    n = ords.size
     deltas = np.empty(n, dtype=np.uint64)
     if n:
-        deltas[0] = doc_ids[0]
-        np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:])
+        deltas[0] = ords[0]
+        np.subtract(ords[1:], ords[:-1], out=deltas[1:])
     tfn = tfn_scores(tfs, dls, avgdl, k1, b)
     nblocks = (n + block - 1) // block
     block_last = np.empty(nblocks, dtype=np.int64)
     block_max = np.empty(nblocks, dtype=np.float64)
     for i in range(nblocks):
         lo, hi = i * block, min((i + 1) * block, n)
-        block_last[i] = doc_ids[hi - 1]
+        block_last[i] = ords[hi - 1]
         block_max[i] = tfn[lo:hi].max()
     return {
         "n_docs": n,
         "cf": int(tfs.sum()),
         "docs_bin": varint_encode(deltas),
         "tfs_bin": varint_encode(tfs - np.uint64(1)),
-        "dls_bin": varint_encode(dls),
         "block_last": block_last,
         "block_max": block_max,
     }
@@ -94,9 +96,9 @@ def encode_segment(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
 # ---- helpers --------------------------------------------------------------
 
 
-def _one(ids, tfs, dls, avgdl, positions=None, block=128) -> dict:
+def _one(ords, tfs, dls, avgdl, positions=None, block=128) -> dict:
     """encode_segments over a single segment -> that segment's values."""
-    cols = encode_segments(ids, tfs, dls, [0], avgdl, block=block,
+    cols = encode_segments(ords, tfs, dls, [0], avgdl, block=block,
                            pos_flat=positions)
     return {k: (v[0] if isinstance(v, np.ndarray) else v[0].as_py())
             for k, v in cols.items()}
@@ -104,9 +106,9 @@ def _one(ids, tfs, dls, avgdl, positions=None, block=128) -> dict:
 
 @st.composite
 def _partition(draw):
-    """A partition's (term, doc_id)-sorted rows: segments of length 1,
+    """A partition's (term, ordinal)-sorted rows: segments of length 1,
     block, block + 1, 2·block + 1 or small random ones; values from a
-    drawn seed (tf up to 300, doc ids up to 2^40, positions past 2^21)."""
+    drawn seed (tf up to 300, ordinals up to 2^40, positions past 2^21)."""
     block = draw(st.sampled_from([1, 2, 5, 128]))
     lengths = draw(st.lists(
         st.one_of(st.sampled_from([1, block, block + 1, 2 * block + 1]),
@@ -146,7 +148,7 @@ def test_encode_segments_matches_reference(case, avgdl):
         ref = encode_segment(ids, tfs, dls, avgdl, block=block)
         assert cols["n_docs"][i] == ref["n_docs"]
         assert cols["cf"][i] == ref["cf"]
-        for c in ("docs_bin", "tfs_bin", "dls_bin"):
+        for c in ("docs_bin", "tfs_bin"):
             assert cols[c][i].as_py() == ref[c], c
         assert cols["block_last"][i].as_py() == ref["block_last"].tolist()
         assert (np.array(cols["block_max"][i].as_py()).tobytes()
@@ -167,7 +169,7 @@ def test_encode_segments_chunks_past_int32_offsets(monkeypatch):
     split = encode_segments(ids, ones, ones, starts, 1.0)
     assert isinstance(split["docs_bin"], pa.ChunkedArray)
     assert split["docs_bin"].num_chunks > 1
-    for c in ("docs_bin", "tfs_bin", "dls_bin", "pos_bin"):
+    for c in ("docs_bin", "tfs_bin", "pos_bin"):
         assert split[c].to_pylist() == whole[c].to_pylist(), c
     with pytest.raises(ValueError, match="int32 offsets"):
         encode_segments(ids, ones, ones, [0], 1.0)
@@ -186,45 +188,107 @@ def test_encode_segments_rejects_position_count_mismatch():
 
 @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 10_000])
 def test_varint_roundtrip(n):
-    # any uint64 value roundtrips through a segment's dl stream
+    # any uint64 value roundtrips through the LEB128 stream encoder
     rng = np.random.default_rng(1234 + n)
     vals = rng.integers(0, 1 << 62, size=n, dtype=np.uint64)
-    cols = encode_segments(np.arange(n, dtype=np.uint64), np.ones(n, np.uint64),
-                           vals, [0] if n else [], 1.0)
-    data = cols["dls_bin"][0].as_py() if n else b""
-    assert np.array_equal(varint_decode(data, n), vals)
+    data, nbytes = codec._leb128(vals)
+    assert data.tobytes() == varint_encode(vals)
+    assert int(nbytes.sum()) == data.size
+    assert np.array_equal(varint_decode(data.tobytes(), n), vals)
 
 
 def test_varint_extremes():
     vals = np.array([0, 1, 127, 128, (1 << 64) - 1], dtype=np.uint64)
-    seg = _one(np.arange(5, dtype=np.uint64), np.ones(5, np.uint64), vals, 1.0)
-    assert np.array_equal(varint_decode(seg["dls_bin"], 5), vals)
+    data, _ = codec._leb128(vals)
+    assert np.array_equal(varint_decode(data.tobytes(), 5), vals)
+
+
+def _salt_map(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A salt's ordinal map of up to m docs: sorted unique ids below 2^62,
+    uint32 dl."""
+    ids = np.unique(rng.integers(0, 1 << 62, size=m, dtype=np.uint64))
+    return ids, rng.integers(1, 1000, size=ids.size).astype(np.uint32)
 
 
 @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 10_000])
 def test_segment_roundtrip(n):
     rng = np.random.default_rng(42 + n)
-    ids = (
-        np.sort(rng.choice(np.arange(1, 20 * n + 2, dtype=np.uint64), n, replace=False))
-        if n
-        else np.empty(0, np.uint64)
-    )
+    ids, dl = _salt_map(rng, 20 * n + 2)
+    ords = np.sort(rng.choice(ids.size, n, replace=False)).astype(np.uint64)
     tfs = rng.integers(1, 100, size=n, dtype=np.uint64)
-    dls = rng.integers(1, 1000, size=n, dtype=np.uint64)
     if not n:  # no rows: no segments
-        cols = encode_segments(ids, tfs, dls, [], 55.5)
+        cols = encode_segments(ords, tfs, dl[ords], [], 55.5)
         assert all(len(v) == 0 for v in cols.values())
         return
-    seg = _one(ids, tfs, dls, 55.5)
+    seg = _one(ords, tfs, dl[ords], 55.5)
     d_ids, d_tfs, d_dls = decode_segment(
-        seg["docs_bin"], seg["tfs_bin"], seg["dls_bin"], seg["n_docs"]
+        seg["docs_bin"], seg["tfs_bin"], seg["n_docs"], (ids, dl)
     )
-    assert np.array_equal(ids, d_ids)
+    assert np.array_equal(ids[ords], d_ids)
     assert np.array_equal(tfs, d_tfs)
-    assert np.array_equal(dls, d_dls)
+    assert np.array_equal(dl[ords], d_dls)
     assert len(seg["block_last"]) == (n + 127) // 128
-    assert seg["block_last"][-1] == ids[-1]
+    assert seg["block_last"][-1] == ords[-1]
     assert seg["cf"] == int(tfs.sum())
+    # ordinal gaps take one or two bytes where doc-id gaps take about nine
+    assert len(seg["docs_bin"]) <= 2 * n
+    with pytest.raises(ValueError, match="salt map"):
+        decode_segment(seg["docs_bin"], seg["tfs_bin"], seg["n_docs"],
+                       (ids[:int(ords[-1])], dl))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_partition(), st.sampled_from([1.0, 55.5, 731.25]),
+       st.integers(0, 2 ** 32 - 1))
+def test_partition_roundtrip_through_salt_map(case, avgdl, seed):
+    """Random partitions over a random salt map: build.encode_partition ->
+    decode_segment through the map, per segment and over the partition's
+    concatenated streams, gives back each row's doc id, tf and dl, and
+    tfn_scores of the decoded rows equal the input's byte for byte. A
+    doc id the map lacks raises."""
+    import polars as pl
+
+    from meilisearch_thai_ray.index.build import encode_partition
+
+    block, segs, _with_pos = case
+    rng = np.random.default_rng(seed)
+    n_max = max((s[0].size for s in segs), default=0)
+    ids, dl = _salt_map(rng, n_max + int(rng.integers(0, 50)))
+    terms, doc_ids, tfs = [], [], []
+    for i, (_ids, seg_tfs, _dls, _pos) in enumerate(segs):
+        ords = np.sort(rng.choice(ids.size, seg_tfs.size, replace=False))
+        terms += [f"t{i:03d}"] * ords.size
+        doc_ids.append(ids[ords])
+        tfs.append(seg_tfs)
+    cat = lambda xs: (np.concatenate(xs) if xs  # noqa: E731
+                      else np.zeros(0, np.uint64))
+    doc_ids, tfs = cat(doc_ids), cat(tfs)
+    dls = dl[to_ordinals(ids, doc_ids)]
+    df = pl.DataFrame({"term": terms, "doc_id": doc_ids.astype(np.int64),
+                       "tf": tfs.astype(np.int64)},
+                      schema={"term": pl.Utf8, "doc_id": pl.Int64,
+                              "tf": pl.Int64})
+    t = encode_partition(df, shard=0, salt=0, ordinals=(ids, dl),
+                         avgdl=avgdl, k1=BM25_K1, b=BM25_B, block=block)
+    assert t.num_rows == len(segs)
+    parts = [decode_segment(t["docs_bin"][i].as_py(), t["tfs_bin"][i].as_py(),
+                            t["n_docs"][i].as_py(), (ids, dl))
+             for i in range(t.num_rows)]
+    whole = decode_segment(b"".join(t["docs_bin"].to_pylist()),
+                           b"".join(t["tfs_bin"].to_pylist()),
+                           t["n_docs"].to_numpy(), (ids, dl))
+    for got in (tuple(cat([p[j] for p in parts]) for j in range(3)), whole):
+        assert np.array_equal(got[0], doc_ids)
+        assert np.array_equal(got[1], tfs)
+        assert np.array_equal(got[2], dls)
+        assert (tfn_scores(got[1], got[2], avgdl).tobytes()
+                == tfn_scores(tfs, dls, avgdl).tobytes())
+    if df.height:
+        stray = df.with_columns(pl.lit(int(ids[-1]) + 1).alias("doc_id"))
+        with pytest.raises(ValueError, match="ordinal map"):
+            encode_partition(stray.head(1), shard=0, salt=0,
+                             ordinals=(ids, dl), avgdl=avgdl, k1=BM25_K1,
+                             b=BM25_B, block=block)
 
 
 def test_block_max_is_upper_bound():

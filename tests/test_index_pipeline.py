@@ -1209,3 +1209,76 @@ def test_wet_payload_starting_with_http_is_not_truncated(ray_session,
     by_url = both.set_index("url")
     assert by_url.loc["http://h.example/doc", "html"] == tricky
     assert by_url.loc["http://h.example/page", "html"] == b"<p>body</p>"
+
+
+def test_ordinal_maps_from_docs_scan(tmp_path):
+    """The shards phase's ordinal maps: each salt's docs minus dead
+    letters, sorted by doc id, a doc id on two rows kept once with its
+    smaller length, and a salt without docs empty."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from meilisearch_thai_ray.index.build import build_ordinals
+    from meilisearch_thai_ray.index.codec import load_ordinals
+
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    pq.write_table(pa.table({
+        "doc_id": pa.array([8, 2, 6, 4, 8, 10], pa.int64()),
+        "token_count": pa.array([5, 3, 0, 7, 4, 9], pa.int32()),
+        "status": ["ok", "ok", "failed", "ok", "ok", "ok"],
+    }), str(docs / "part-0.parquet"))
+    out = str(tmp_path / "out")
+    build_ordinals(str(docs), out, 2)
+    ids, dl = load_ordinals(out, 0)
+    assert ids.dtype == np.uint64 and dl.dtype == np.uint32
+    assert ids.tolist() == [2, 4, 8, 10] and dl.tolist() == [3, 7, 4, 9]
+    assert all(a.size == 0 for a in load_ordinals(out, 1))
+
+
+def test_duplicate_doc_id_block_max_bounds_decoded_tfn(ray_session, tmp_path):
+    """A URL fetched twice with different lengths puts one doc id on two
+    docs rows. Its map row keeps the smaller length, and every block_max
+    is the largest tfn of the block's postings as decode reads them back
+    (lengths from the map), so it bounds every decoded score."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from meilisearch_thai_ray.functions.hashing import doc_id_from_url
+    from meilisearch_thai_ray.index.codec import (decode_segment,
+                                                  load_ordinals, tfn_scores)
+
+    texts = ["alpha beta gamma delta epsilon zeta eta theta", "alpha beta",
+             "alpha gamma", "beta delta alpha", "alpha"]
+    urls = ["https://dup.ex/a"] * 2 + [f"https://dup.ex/{i}" for i in range(3)]
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    pq.write_table(pa.table({
+        "url": pa.array(urls, pa.string()),
+        "html": pa.array([f"<p>{t}</p>".encode() for t in texts], pa.binary()),
+        "lang": pa.array(["en"] * len(texts), pa.string()),
+    }), str(pages / "p.parquet"))
+    out = str(tmp_path / "index")
+    cfg = EngineConfig(num_shards=2, posting_block=2)
+    meta = build_index(str(pages), out, cfg, num_salts=2, batch_size=64)
+    dup = doc_id_from_url(urls[0])
+    ids, dl = load_ordinals(out, dup % 2)
+    row = int(np.searchsorted(ids, np.uint64(dup)))
+    assert ids[row] == dup and int(dl[row]) == 2
+    assert int((ids == np.uint64(dup)).sum()) == 1
+    n_blocks = 0
+    for salt in range(2):
+        t = pads.dataset(os.path.join(out, "shards"), partitioning="hive"
+                         ).to_table(filter=pads.field("salt") == salt)
+        for i in range(t.num_rows):
+            _, tfs, dls = decode_segment(
+                t["docs_bin"][i].as_py(), t["tfs_bin"][i].as_py(),
+                t["n_docs"][i].as_py(), load_ordinals(out, salt))
+            tfn = tfn_scores(tfs, dls, meta["avgdl"], cfg.k1, cfg.b)
+            starts = np.arange(0, tfn.size, cfg.posting_block)
+            bm = np.asarray(t["block_max"][i].as_py())
+            assert bm.tobytes() == np.maximum.reduceat(tfn, starts).tobytes()
+            n_blocks += bm.size
+    assert n_blocks

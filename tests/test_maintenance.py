@@ -276,3 +276,32 @@ def test_swap_indexes_zero_downtime_reindex(built, tmp_path):
         swap_indexes(reg, [("docs", "ghost")])
     # a failed swap must not have moved anything (all-pairs atomicity)
     assert resolve_index(reg, "docs") == staged
+
+
+def test_index_without_format_is_refused(built, tmp_path):
+    """An index whose meta.json has no index_format stands in for one
+    written before postings held per-salt ordinals: the engine, merge (as
+    either source) and a resumed build each refuse it with a ValueError
+    that names a rebuild, instead of misreading doc-id gaps as ordinals."""
+    import json
+    import shutil
+
+    from meilisearch_thai_ray.index.merge import merge_indexes
+
+    root, out = built
+    old = str(tmp_path / "old")
+    shutil.copytree(out, old)
+    meta_p = os.path.join(old, "meta.json")
+    with open(meta_p) as f:
+        meta = json.load(f)
+    del meta["index_format"]
+    with open(meta_p, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(ValueError, match="rebuild"):
+        SearchEngine(old)
+    for sources in ([old, out], [out, old]):
+        with pytest.raises(ValueError, match="rebuild"):
+            merge_indexes(sources, str(tmp_path / "merged"))
+    with pytest.raises(ValueError, match="rebuild"):
+        build_index(os.path.join(root, "pages"), old, CFG, num_salts=1)
+    SearchEngine(out)  # the current format opens

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meilisearch_thai_ray.config import EngineConfig
+from meilisearch_thai_ray.index import codec
 from meilisearch_thai_ray.index.codec import (
     decode_segment,
     encode_segments,
+    to_ordinals,
     varint_decode,
 )
 from meilisearch_thai_ray.kernel import DocumentTokenizer, html_to_text
@@ -69,13 +71,10 @@ def test_extractor_idempotent_on_extracted(text):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=300))
 def test_varint_roundtrip_property(values):
-    # any uint64 values roundtrip through one segment's dl stream
+    # any uint64 values roundtrip through the LEB128 stream encoder
     arr = np.array(values, dtype=np.uint64)
-    n = len(values)
-    cols = encode_segments(np.arange(n, dtype=np.uint64), np.ones(n, np.uint64),
-                           arr, [0] if n else [], 1.0)
-    data = cols["dls_bin"][0].as_py() if n else b""
-    assert np.array_equal(varint_decode(data, n), arr)
+    data, _ = codec._leb128(arr)
+    assert np.array_equal(varint_decode(data.tobytes(), len(values)), arr)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,13 +91,20 @@ def test_varint_roundtrip_property(values):
     )
 )
 def test_segment_roundtrip_property(postings):
+    # the salt map holds the postings' docs and every other id below 2^62
+    # with the same low bits (docs of the salt without the term)
     postings.sort()
     ids = np.array([p[0] for p in postings], dtype=np.uint64)
     tfs = np.array([p[1] for p in postings], dtype=np.uint64)
     dls = np.array([p[2] for p in postings], dtype=np.uint64)
-    seg = encode_segments(ids, tfs, dls, [0], avgdl=77.7)
+    others = np.setdiff1d(ids ^ np.uint64(1 << 61), ids)
+    map_ids = np.union1d(ids, others)
+    map_dl = np.ones(map_ids.size, np.uint32)
+    ords = to_ordinals(map_ids, ids)
+    map_dl[ords] = dls
+    seg = encode_segments(ords, tfs, dls, [0], avgdl=77.7)
     out = decode_segment(seg["docs_bin"][0].as_py(), seg["tfs_bin"][0].as_py(),
-                         seg["dls_bin"][0].as_py(), len(ids))
+                         len(ids), (map_ids, map_dl))
     assert np.array_equal(out[0], ids)
     assert np.array_equal(out[1], tfs)
     assert np.array_equal(out[2], dls)
